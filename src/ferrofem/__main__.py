@@ -1,0 +1,8 @@
+"""``python -m ferrofem``: the same commands as the ``ferrofem`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

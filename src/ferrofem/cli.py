@@ -71,8 +71,9 @@ def _parse_levels(text: str):
         raise ConfigError(f"invalid levels {text!r}: {exc}") from exc
     if not levels:
         raise ConfigError("levels must be nonempty")
-    if any(n < 1 for n in levels):
-        raise ConfigError("levels must be positive")
+    if any(n < 2 for n in levels):
+        # N = 1 leaves the potential without a free dof
+        raise ConfigError("levels must be at least 2")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("levels must be ascending")
     return levels

@@ -79,9 +79,6 @@ class FEField:
                 f"space has {self.space.n_dofs} dofs"
             )
 
-    def copy(self) -> "FEField":
-        return FEField(self.space, self.coeffs.copy())
-
 
 def build_space(mesh: Mesh2D, family: str, components: int = 1) -> FESpace:
     """Enumerate global dofs of ``family`` over ``mesh``.

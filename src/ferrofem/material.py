@@ -169,14 +169,3 @@ def beta_prime_fd(x, params: MaterialParams, rel_step: float = 1e-6):
     lo = np.maximum(x - h, 0.0)
     return (beta(x + h, params) - beta(lo, params)) / (x + h - lo)
 
-
-def alpha_prime_fd(x, params: MaterialParams, rel_step: float = 1e-6):
-    """Central finite-difference derivative of alpha (diagnostic only).
-
-    The solver never needs alpha'; this exists to estimate the Lipschitz
-    scale that enters the uniqueness diagnostics.
-    """
-    x = np.atleast_1d(_check_nonnegative(x, "field magnitude"))
-    h = rel_step * np.maximum(x, 1.0)
-    lo = np.maximum(x - h, 0.0)
-    return (alpha(x + h, params) - alpha(lo, params)) / (x + h - lo)

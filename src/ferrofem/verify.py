@@ -432,6 +432,9 @@ def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> Study
                     for k, r in sol.diagnostics["recovery_reports"].items()
                 },
             },
+            "solve_iterations": {
+                "flow": [r.iterations for r in sol.diagnostics["oseen"]["reports"]],
+            },
         },
     )
 

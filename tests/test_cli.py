@@ -98,6 +98,10 @@ class TestCommands:
         assert doc["levels"] == [4, 8]
         assert set(doc["orders_lsq"]) == set(verify.ERROR_COLUMNS)
         assert doc["rows"][0]["errors"]["err_phi_h1"] == pytest.approx(0.3943, rel=0.01)
+        # Stokes seed plus two Oseen sweeps, each with its GMRES count
+        for row in doc["rows"]:
+            counts = row["diagnostics"]["solve_iterations"]["flow"]
+            assert len(counts) == 3 and all(k > 0 for k in counts)
 
     def test_run_partial_output_on_failure(self, tmp_path, monkeypatch):
         real = verify._solve_level
@@ -148,6 +152,13 @@ class TestMain:
         path = tmp_path / "bad.cfg"
         path.write_text("levels = 8,4\n")
         assert cli.main(["table", "--config", str(path)]) == 2
+
+    def test_level_below_two_exits_2(self, tmp_path, capsys):
+        # N = 1 has no free potential dof; it must not reach the solvers
+        path = tmp_path / "one.cfg"
+        path.write_text("levels = 1,2\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "line 1: levels must be at least 2" in capsys.readouterr().err
 
     def test_run_roundtrip(self, tmp_path):
         path = tmp_path / "ok.cfg"

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ferrofem import assembly, fespace, linalg, mesh2d
+from ferrofem import assembly, driver, fespace, linalg, mesh2d, verify
+from ferrofem.driver import FhdConfig
+from ferrofem.fespace import FEField
 from ferrofem.linalg import SolverError
+from ferrofem.material import MaterialParams
 
 
 class TestSolveSpd:
@@ -105,6 +108,81 @@ class TestSolveSaddle:
         u2, p2, _ = linalg.solve_saddle(sys)
         assert np.array_equal(u1, u2)
         assert np.array_equal(p1, p2)
+
+
+def _bordered_dense_solve(sys):
+    """Reference: dense solve of the system with the mean-multiplier row."""
+    free = sys.free_u
+    a = sys.A.toarray()
+    b = sys.B.toarray()
+    a_ff, b_f = a[free][:, free], b[:, free]
+    n_u, n_p = a_ff.shape[0], b.shape[0]
+    k = np.zeros((n_u + n_p + 1, n_u + n_p + 1))
+    k[:n_u, :n_u] = a_ff
+    k[:n_u, n_u : n_u + n_p] = -b_f.T
+    k[n_u : n_u + n_p, :n_u] = b_f
+    k[n_u : n_u + n_p, -1] = sys.mean
+    k[-1, n_u : n_u + n_p] = sys.mean
+    rhs = np.concatenate(
+        [
+            sys.rhs_u[free] - a[free][:, ~free] @ sys.g[~free],
+            sys.rhs_p - b[:, ~free] @ sys.g[~free],
+            [0.0],
+        ]
+    )
+    x = np.linalg.solve(k, rhs)
+    u = sys.g.copy()
+    u[free] = x[:n_u]
+    return u, x[n_u : n_u + n_p]
+
+
+class TestSchurSolve:
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("pair", [("CR", "P0"), ("P2", "P1")])
+    @pytest.mark.parametrize("rho", [0.0, 10.0])
+    def test_matches_dense_bordered_solve(self, n, pair, rho):
+        rng = np.random.default_rng(n)
+        v, w, sys = _stokes_system(n=n, pair=pair)
+        sys.rhs_u = rng.standard_normal(v.n_dofs)
+        sys.rhs_p = rng.standard_normal(w.n_dofs)
+        sys.g = np.where(v.free_mask, 0.0, rng.standard_normal(v.n_dofs))
+        if rho:
+            conv = assembly.assemble_convection(
+                v, FEField(v, rng.standard_normal(v.n_dofs)), rho=rho
+            )
+            sys = sys.with_operator((sys.A + conv).tocsr())
+        u, p, rep = linalg.solve_saddle(sys)
+        u_ref, p_ref = _bordered_dense_solve(sys)
+        assert rep.status == "ok"
+        assert rep.iterations > 0
+        assert np.abs(u - u_ref).max() < 1e-10
+        assert np.abs(p - p_ref).max() < 1e-8
+
+    def test_iteration_cap_raises_not_converged(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        v, w, sys = _stokes_system(n=6)
+        sys.rhs_u = rng.standard_normal(v.n_dofs)
+        monkeypatch.setattr(linalg, "SCHUR_MAXITER", 2)
+        with pytest.raises(SolverError) as err:
+            linalg.solve_saddle(sys)
+        assert err.value.report.status == "not_converged"
+
+    def test_l1_oseen_sweep_stops_on_true_residual(self):
+        # a system of the l1 nonlinear study on which GMRES with a left
+        # preconditioner stopped on its preconditioned residual while the
+        # true one was still above tolerance
+        prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
+        case = verify.ManufacturedCase(**{**verify.case_2d_l1().__dict__, "params": prm})
+        cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=1)
+        _, _, info = driver.oseen_ns(cfg)
+        assert [r.status for r in info["reports"]] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_l0_stokes_iterations_bounded_in_n(self, n):
+        cfg = FhdConfig(n=n, pair="l0", case=verify.case_2d_l0())
+        _, _, rep = driver.initial_guess_velocity(cfg)
+        assert rep.status == "ok"
+        assert 0 < rep.iterations <= 40
 
 
 class TestReduceDirichlet:

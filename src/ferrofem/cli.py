@@ -2,7 +2,7 @@
 
 Commands
 --------
-run    --config FILE [--out-csv PATH] [--out-json PATH] [--parallel-levels]
+run    --config FILE [--out-csv PATH] [--out-json PATH]
 table  --config FILE            (CSV on stdout)
 check  [--seed K]               (property battery, one line per check)
 
@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import sys
 from dataclasses import dataclass
 
-from . import verify
+from . import driver, refelem, verify
+from .assembly import _POLY_DEG
 from .material import MaterialParams
 
 DEFAULT_LEVELS = (4, 8, 16, 32, 64, 128)
@@ -79,8 +81,14 @@ def _parse_levels(text: str):
     return levels
 
 
+def _parse_study(text: str) -> str:
+    if text != "uniform-square":
+        raise ConfigError(f"study must be 'uniform-square', got {text!r}")
+    return text
+
+
 _PARSERS = {
-    "study": str,
+    "study": _parse_study,
     "pair": str,
     "levels": _parse_levels,
     "mu0": float,
@@ -101,6 +109,7 @@ _PARSERS = {
 def parse_config(text: str) -> RunConfig:
     """Parse the flat ``key = value`` config format with line-numbered errors."""
     cfg = RunConfig()
+    key_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,8 +130,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: invalid value {value!r} for {key!r}: {exc}"
             ) from exc
+        key_line[key] = lineno
     if cfg.pair not in ("l0", "l1"):
         raise ConfigError(f"pair must be 'l0' or 'l1', got {cfg.pair!r}")
+    # the nonlinear stiffness integrates at 2(k-1) + quad_bump for potential
+    # degree k, and no stocked rule goes beyond MAX_DEGREE
+    k = _POLY_DEG[driver.PAIRS[cfg.pair][0]]
+    max_bump = refelem.MAX_DEGREE - 2 * (k - 1)
+    if not 0 <= cfg.quad_bump <= max_bump:
+        raise ConfigError(
+            f"line {key_line['quad_bump']}: quad_bump must be in [0, {max_bump}] "
+            f"for pair {cfg.pair!r}, got {cfg.quad_bump}"
+        )
     for name in ("picard_iters", "oseen_iters"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
@@ -182,38 +201,40 @@ def report_to_json(config: RunConfig, report: verify.StudyReport,
                 "errors": {c: row.errors[c] for c in _ERROR_COLS},
                 "curl_inf": row.curl_inf,
                 "diagnostics": row.diagnostics,
+                "timings": row.timings,
             }
             for row in report.rows
         ],
         "orders_pairwise": report.orders_pairwise,
         "orders_lsq": report.orders_lsq,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if failed_at is not None:
         doc["failed_at"] = failed_at
     return doc
 
 
-def _run_study(config: RunConfig, parallel: bool):
-    return verify.run_convergence_study(
-        config.pair,
-        list(config.levels),
-        params=config.material_params(),
-        picard_iters=config.picard_iters,
-        oseen_iters=config.oseen_iters,
-        quad_bump=config.quad_bump,
-        parallel=parallel,
-    )
-
-
-def cmd_run(config: RunConfig, parallel: bool = False) -> int:
-    """Execute the study and write the CSV/JSON reports. Exit 0 on success."""
-    failed_at = None
+def _run_study(config: RunConfig):
+    """Run the study; returns ``(report, failed_at)``, the level that failed or None."""
     try:
-        report = _run_study(config, parallel)
+        report = verify.run_convergence_study(
+            config.pair,
+            list(config.levels),
+            params=config.material_params(),
+            picard_iters=config.picard_iters,
+            oseen_iters=config.oseen_iters,
+            quad_bump=config.quad_bump,
+        )
     except verify.StudyError as exc:
-        report = exc.report
-        failed_at = exc.failed_level
         print(f"error: {exc}", file=sys.stderr)
+        return exc.report, exc.failed_level
+    return report, None
+
+
+def cmd_run(config: RunConfig) -> int:
+    """Execute the study and write the CSV/JSON reports. Exit 0 on success."""
+    report, failed_at = _run_study(config)
     csv_text = format_csv(report, failed_at)
     with open(config.out_csv, "w") as fh:
         fh.write(csv_text)
@@ -223,15 +244,9 @@ def cmd_run(config: RunConfig, parallel: bool = False) -> int:
     return 0 if failed_at is None else 1
 
 
-def cmd_table(config: RunConfig, parallel: bool = False) -> int:
+def cmd_table(config: RunConfig) -> int:
     """Execute the study and print the CSV table to stdout."""
-    failed_at = None
-    try:
-        report = _run_study(config, parallel)
-    except verify.StudyError as exc:
-        report = exc.report
-        failed_at = exc.failed_level
-        print(f"error: {exc}", file=sys.stderr)
+    report, failed_at = _run_study(config)
     sys.stdout.write(format_csv(report, failed_at))
     return 0 if failed_at is None else 1
 
@@ -270,11 +285,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", default=None, help="flat key = value config file")
     p_run.add_argument("--out-csv", default=None)
     p_run.add_argument("--out-json", default=None)
-    p_run.add_argument("--parallel-levels", action="store_true")
 
     p_table = sub.add_parser("table", help="run a study and print the CSV table")
     p_table.add_argument("--config", default=None)
-    p_table.add_argument("--parallel-levels", action="store_true")
 
     p_check = sub.add_parser("check", help="run the property battery")
     p_check.add_argument("--seed", type=int, default=42)
@@ -289,9 +302,9 @@ def main(argv=None) -> int:
                 config.out_csv = args.out_csv
             if args.out_json:
                 config.out_json = args.out_json
-            return cmd_run(config, parallel=args.parallel_levels)
+            return cmd_run(config)
         if args.command == "table":
-            return cmd_table(_load_config(args.config), parallel=args.parallel_levels)
+            return cmd_table(_load_config(args.config))
         if args.command == "check":
             return cmd_check(seed=args.seed, quick=args.quick)
     except (ConfigError, OSError) as exc:

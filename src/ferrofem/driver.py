@@ -177,7 +177,11 @@ def initial_guess_velocity(cfg: FhdConfig, _setup: _Setup | None = None):
 
 
 def oseen_ns(cfg: FhdConfig, u0: FEField | None = None, _setup=None):
-    """Oseen sweeps: convecting field frozen at the previous iterate."""
+    """Oseen sweeps: convecting field frozen at the previous iterate.
+
+    Each sweep's Schur GMRES starts from the previous pressure (the Stokes
+    seed's for the first sweep, zero when ``u0`` is given).
+    """
     setup = _setup or _Setup(cfg)
     if u0 is None:
         u0, p0, seed_report = initial_guess_velocity(cfg, _setup=setup)
@@ -191,7 +195,7 @@ def oseen_ns(cfg: FhdConfig, u0: FEField | None = None, _setup=None):
         sys = setup.saddle.with_operator(
             (setup.visc + conv).tocsr(), rhs_u=setup.rhs_u, g=setup.g
         )
-        u_coeffs, p_coeffs, report = linalg.solve_saddle(sys)
+        u_coeffs, p_coeffs, report = linalg.solve_saddle(sys, p0=p.coeffs)
         reports.append(report)
         u = FEField(setup.V, u_coeffs)
         p = FEField(setup.W, p_coeffs)

@@ -1,11 +1,18 @@
 """Deterministic sparse solvers for the reduced systems.
 
 Desk-scale problems (<= a few 10^5 dofs) go through SuperLU; every solve
-verifies its own residual and returns a :class:`SolveReport`. Saddle-point
-systems are solved blockwise: the velocity operator is two equal scalar
-blocks, so one scalar block is factored, and the pressure comes from GMRES on
-the Schur complement, preconditioned by the lumped pressure mass. The
-returned pressure is mean-free to round-off.
+verifies its own residual and returns a :class:`SolveReport`, which also
+carries the fill of the factorization it used. Every matrix factored here is
+structurally symmetric (the SPD potential and recovery matrices, and the
+velocity block, whose sparsity convection does not change), so every
+factorization uses one fill-reducing ordering: minimum degree on the
+structure of ``A + A'``.
+
+Saddle-point systems are solved blockwise: the velocity operator is two equal
+scalar blocks, so one scalar block is factored, and the pressure comes from
+GMRES on the Schur complement, preconditioned by the lumped pressure mass.
+GMRES starts from a given pressure (the previous Oseen sweep's) or from zero.
+The returned pressure is mean-free to round-off.
 """
 
 from __future__ import annotations
@@ -43,10 +50,11 @@ class SolveReport:
     residual_norm: float
     iterations: int  # Krylov iterations; 0 for a direct solve
     status: str  # "ok" | "singular" | "not_converged"
+    fill: int = 0  # nonzeros of the L and U factors used
 
 
 def _splu(a_csc):
-    return spla.splu(a_csc, permc_spec="COLAMD")
+    return spla.splu(a_csc, permc_spec="MMD_AT_PLUS_A")
 
 
 def solve_spd(a: sp.spmatrix, b: np.ndarray):
@@ -74,13 +82,15 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray):
         raise SolverError(SolveReport(np.inf, 0, "singular"), "non-finite solution")
     res = np.linalg.norm(b - a @ x)
     rel = res / max(np.linalg.norm(b), 1e-300)
-    report = SolveReport(res, 0, "ok" if rel <= SPD_RTOL else "not_converged")
+    report = SolveReport(
+        res, 0, "ok" if rel <= SPD_RTOL else "not_converged", lu.nnz
+    )
     if report.status != "ok":
         raise SolverError(report, f"relative residual {rel:.3e} above {SPD_RTOL}")
     return x, report
 
 
-def solve_saddle(sys: SaddleSystem):
+def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     """Block Schur-complement solve of one Oseen/Stokes saddle system.
 
     Eliminates the constrained velocity dofs by lifting and solves
@@ -99,9 +109,16 @@ def solve_saddle(sys: SaddleSystem):
     pressure mass; it is shifted to zero mean and the velocity follows from
     one more block solve.
 
+    ``p0`` is an initial pressure, typically the previous Oseen sweep's;
+    GMRES then starts from ``m * p0``, the right-preconditioned unknown.
+    The stopping test does not depend on the start, so a warm start changes
+    only the iteration count, not the accuracy.
+
     Returns ``(u, p, report)`` where ``u`` has full length (prescribed values
-    filled back in), ``p`` satisfies |int p| <= 1e-12 * scale and
-    ``report.iterations`` is the GMRES count. Raises :class:`SolverError`:
+    filled back in), ``p`` satisfies |int p| <= 1e-12 * scale,
+    ``report.iterations`` is the GMRES count (0 when ``p0`` already meets the
+    tolerance) and ``report.fill`` that of the velocity block factorization.
+    Raises :class:`SolverError`:
     ``singular`` when the mean row is missing or the factorization fails,
     ``not_converged`` when GMRES reaches :data:`SCHUR_MAXITER` or the
     full-system relative residual exceeds :data:`SADDLE_RTOL`.
@@ -148,6 +165,7 @@ def solve_saddle(sys: SaddleSystem):
     y, info = spla.gmres(
         schur_m,
         lift_p - lam * mean - b_f @ a_inv(lift_u),
+        x0=None if p0 is None else mean * p0,
         rtol=SCHUR_RTOL,
         atol=SCHUR_RTOL * rhs_norm,
         restart=SCHUR_MAXITER,
@@ -157,7 +175,7 @@ def solve_saddle(sys: SaddleSystem):
     )
     if info != 0:
         raise SolverError(
-            SolveReport(np.inf, iterations, "not_converged"),
+            SolveReport(np.inf, iterations, "not_converged", lu.nnz),
             f"Schur GMRES not converged after {iterations} iterations",
         )
     p = y / mean
@@ -165,7 +183,8 @@ def solve_saddle(sys: SaddleSystem):
     u_f = a_inv(lift_u + b_ft @ p)
     if not np.all(np.isfinite(u_f)):
         raise SolverError(
-            SolveReport(np.inf, iterations, "singular"), "non-finite saddle solution"
+            SolveReport(np.inf, iterations, "singular", lu.nnz),
+            "non-finite saddle solution",
         )
 
     r = np.concatenate(
@@ -173,7 +192,9 @@ def solve_saddle(sys: SaddleSystem):
     )
     res = np.linalg.norm(r)
     rel = res / max(rhs_norm, 1e-300)
-    report = SolveReport(res, iterations, "ok" if rel <= SADDLE_RTOL else "not_converged")
+    report = SolveReport(
+        res, iterations, "ok" if rel <= SADDLE_RTOL else "not_converged", lu.nnz
+    )
     if report.status != "ok":
         raise SolverError(report, f"saddle residual {rel:.3e} above {SADDLE_RTOL}")
     return expand(u_f), p, report

@@ -10,6 +10,7 @@ fits of log-error against log-h).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -339,6 +340,7 @@ class StudyRow:
     errors: dict
     curl_inf: float
     diagnostics: dict = dc_field(default_factory=dict)
+    timings: dict = dc_field(default_factory=dict)  # seconds; not reproducible
 
 
 @dataclass
@@ -412,11 +414,15 @@ def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> Study
         quad_bump=quad_bump,
         case=case,
     )
+    t0 = time.perf_counter()
     sol = driver.solve_fhd(cfg)
+    t1 = time.perf_counter()
+    errors = measure_errors(sol, case)
+    t2 = time.perf_counter()
     return StudyRow(
         n=n,
         h=mesh2d.mesh_size(sol.phi.space.mesh),
-        errors=measure_errors(sol, case),
+        errors=errors,
         curl_inf=sol.diagnostics["curl_h_inf"],
         diagnostics={
             "grad_phi_norm": sol.diagnostics["grad_phi_norm"],
@@ -435,7 +441,12 @@ def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> Study
             "solve_iterations": {
                 "flow": [r.iterations for r in sol.diagnostics["oseen"]["reports"]],
             },
+            "solve_fill": {
+                "potential": [r.fill for r in sol.diagnostics["picard"]["reports"]],
+                "flow": [r.fill for r in sol.diagnostics["oseen"]["reports"]],
+            },
         },
+        timings={"solve_s": t1 - t0, "errors_s": t2 - t1},
     )
 
 
@@ -446,35 +457,19 @@ def run_convergence_study(
     picard_iters: int = 2,
     oseen_iters: int = 2,
     quad_bump: int = 2,
-    parallel: bool = False,
 ) -> StudyReport:
-    """One full solve per mesh level plus error norms and observed orders.
-
-    With ``parallel=True`` the (independent) levels run in a process pool;
-    the report is merged by level index, so the output is ordered the same
-    as in the sequential reference mode.
-    """
+    """One full solve per mesh level plus error norms and observed orders."""
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly ascending")
     report = StudyReport(pair=pair, rows=[])
-    args = [(pair, n, params, picard_iters, oseen_iters, quad_bump) for n in levels]
-    if parallel:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor() as pool:
-            futures = [pool.submit(_solve_level, *a) for a in args]
-            for n, fut in zip(levels, futures):
-                try:
-                    report.rows.append(fut.result())
-                except (driver.StageError, linalg.SolverError) as exc:
-                    raise StudyError(report.finalize(), n, exc) from exc
-    else:
-        for (a, n) in zip(args, levels):
-            try:
-                report.rows.append(_solve_level(*a))
-            except (driver.StageError, linalg.SolverError) as exc:
-                raise StudyError(report.finalize(), n, exc) from exc
+    for n in levels:
+        try:
+            report.rows.append(
+                _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump)
+            )
+        except (driver.StageError, linalg.SolverError) as exc:
+            raise StudyError(report.finalize(), n, exc) from exc
     return report.finalize()
 
 

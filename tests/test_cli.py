@@ -160,6 +160,21 @@ class TestMain:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "line 1: levels must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # degree 2 + 7 is above refelem.MAX_DEGREE = 8
+            ("pair = l1\nquad_bump = 7\n", "line 2: quad_bump must be in [0, 6]"),
+            ("quad_bump = -5\n", "line 1: quad_bump must be in [0, 8]"),
+            ("levels = 4\nstudy = bogus\n", "line 2: study must be 'uniform-square'"),
+        ],
+    )
+    def test_invalid_quad_bump_or_study_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_run_roundtrip(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("levels = 4\n")

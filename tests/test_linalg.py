@@ -177,6 +177,44 @@ class TestSchurSolve:
         _, _, info = driver.oseen_ns(cfg)
         assert [r.status for r in info["reports"]] == ["ok", "ok"]
 
+    def test_warm_start_from_solution_takes_no_iterations(self):
+        rng = np.random.default_rng(16)
+        v, w, sys = _stokes_system(n=16, pair=("P2", "P1"))
+        sys.rhs_u = rng.standard_normal(v.n_dofs)
+        sys.rhs_p = rng.standard_normal(w.n_dofs)
+        conv = assembly.assemble_convection(
+            v, FEField(v, rng.standard_normal(v.n_dofs)), rho=10.0
+        )
+        sys = sys.with_operator((sys.A + conv).tocsr())
+        u_cold, p_cold, rep_cold = linalg.solve_saddle(sys)
+        u, p, rep = linalg.solve_saddle(sys, p0=p_cold)
+        assert rep_cold.iterations > 0
+        assert rep.iterations == 0
+        assert rep.status == "ok"
+        assert np.abs(u - u_cold).max() < 1e-10
+        assert np.abs(p - p_cold).max() < 1e-8
+
+    def test_warm_started_oseen_sweeps_total_iterations(self):
+        # six sweeps of the l1 nonlinear study; cold starts need ~300
+        prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
+        case = verify.ManufacturedCase(**{**verify.case_2d_l1().__dict__, "params": prm})
+        cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=6)
+        _, _, info = driver.oseen_ns(cfg)
+        sweeps = info["reports"][1:]
+        assert len(sweeps) == 6
+        assert sum(r.iterations for r in sweeps) <= 150
+
+    def test_reports_carry_factor_fill(self):
+        _, _, sys = _stokes_system(n=6)
+        _, _, rep_saddle = linalg.solve_saddle(sys)
+        mesh = mesh2d.build_uniform_square(6)
+        s = fespace.build_space(mesh, "P1")
+        k = assembly.assemble_weighted_stiffness(s)
+        _, rep_spd = linalg.solve_spd(
+            k[s.free_mask][:, s.free_mask], np.ones(s.free_mask.sum())
+        )
+        assert rep_saddle.fill > 0 and rep_spd.fill > 0
+
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_l0_stokes_iterations_bounded_in_n(self, n):
         cfg = FhdConfig(n=n, pair="l0", case=verify.case_2d_l0())

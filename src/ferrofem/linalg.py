@@ -48,7 +48,7 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolveReport:
     residual_norm: float
-    iterations: int  # Krylov iterations; 0 for a direct solve
+    iterations: int  # Krylov iterations; 0 for a direct solve or a converged start
     status: str  # "ok" | "singular" | "not_converged"
     fill: int = 0  # nonzeros of the L and U factors used
 
@@ -117,7 +117,7 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     Returns ``(u, p, report)`` where ``u`` has full length (prescribed values
     filled back in), ``p`` satisfies |int p| <= 1e-12 * scale,
     ``report.iterations`` is the GMRES count (0 when ``p0`` already meets the
-    tolerance) and ``report.fill`` that of the velocity block factorization.
+    tolerance) and ``report.fill`` the fill of the velocity block factor.
     Raises :class:`SolverError`:
     ``singular`` when the mean row is missing or the factorization fails,
     ``not_converged`` when GMRES reaches :data:`SCHUR_MAXITER` or the

@@ -20,8 +20,7 @@ import resource
 import sys
 from dataclasses import dataclass
 
-from . import driver, refelem, verify
-from .assembly import _POLY_DEG
+from . import driver, verify
 from .material import MaterialParams
 
 DEFAULT_LEVELS = (4, 8, 16, 32, 64, 128)
@@ -133,10 +132,7 @@ def parse_config(text: str) -> RunConfig:
         key_line[key] = lineno
     if cfg.pair not in ("l0", "l1"):
         raise ConfigError(f"pair must be 'l0' or 'l1', got {cfg.pair!r}")
-    # the nonlinear stiffness integrates at 2(k-1) + quad_bump for potential
-    # degree k, and no stocked rule goes beyond MAX_DEGREE
-    k = _POLY_DEG[driver.PAIRS[cfg.pair][0]]
-    max_bump = refelem.MAX_DEGREE - 2 * (k - 1)
+    max_bump = driver.max_quad_bump(cfg.pair)
     if not 0 <= cfg.quad_bump <= max_bump:
         raise ConfigError(
             f"line {key_line['quad_bump']}: quad_bump must be in [0, {max_bump}] "

@@ -20,6 +20,7 @@ the recovery stage consumes both.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -33,6 +34,16 @@ PAIRS = {
     "l0": ("P1", "NE0", "CR", "P0"),
     "l1": ("P2", "NE1", "P2", "P1"),
 }
+
+
+def max_quad_bump(pair: str) -> int:
+    """Largest ``quad_bump`` the stocked quadrature rules allow for ``pair``.
+
+    The nonlinear stiffness integrates at degree 2(k-1) + quad_bump for
+    potential degree k, and no stocked rule goes beyond ``MAX_DEGREE``.
+    """
+    k = assembly._POLY_DEG[PAIRS[pair][0]]
+    return refelem.MAX_DEGREE - 2 * (k - 1)
 
 
 @dataclass
@@ -61,6 +72,12 @@ class FhdConfig:
     def __post_init__(self):
         if self.pair not in PAIRS:
             raise ValueError(f"unknown element pair {self.pair!r}")
+        max_bump = max_quad_bump(self.pair)
+        if not 0 <= self.quad_bump <= max_bump:
+            raise ValueError(
+                f"quad_bump must be in [0, {max_bump}] for pair {self.pair!r}, "
+                f"got {self.quad_bump}"
+            )
         if self.picard_iters < 1 or self.oseen_iters < 1:
             raise ValueError("iteration counts must be >= 1")
         if (self.case is None) == (self.h_ext is None):
@@ -271,20 +288,30 @@ class StageError(RuntimeError):
 
 
 def solve_fhd(cfg: FhdConfig) -> FhdSolution:
-    """Run the full five-step decoupled solve for one configuration."""
+    """Run the full five-step decoupled solve for one configuration.
+
+    ``diagnostics["timings"]`` holds the wall time of the potential, flow and
+    recovery stages (``picard_s``, ``flow_s``, ``recovery_s``, seconds).
+    """
     setup = _Setup(cfg)
+    t0 = time.perf_counter()
     try:
         phi, phi_info = picard_elliptic(cfg, _setup=setup)
     except linalg.SolverError as exc:
         raise StageError("potential", exc) from exc
+    t1 = time.perf_counter()
     try:
         u, p_tilde, ns_info = oseen_ns(cfg, _setup=setup)
     except linalg.SolverError as exc:
         raise StageError("navier-stokes", exc) from exc
+    t2 = time.perf_counter()
     try:
         sol = recover_fields(cfg, phi, u, p_tilde, _setup=setup)
     except linalg.SolverError as exc:
         raise StageError("recovery", exc) from exc
     sol.diagnostics["picard"] = phi_info
     sol.diagnostics["oseen"] = ns_info
+    sol.diagnostics["timings"] = {
+        "picard_s": t1 - t0, "flow_s": t2 - t1, "recovery_s": time.perf_counter() - t2,
+    }
     return sol

@@ -38,9 +38,9 @@ class ManufacturedCase:
     """Analytic fields of one verification problem on the unit square.
 
     All evaluators map an (n, 2) point array to values: scalars (n,),
-    vectors (n, 2), matrices (n, 2, 2). Derived fields (magnetic field,
-    magnetization, pressure potential, flow forcing) are consistent with the
-    governing equations by construction.
+    vectors (n, 2), matrices (n, 2, 2). The magnetic field is ``grad_phi``;
+    the derived fields (magnetization, pressure potential, flow forcing) are
+    consistent with the governing equations by construction.
     """
 
     name: str
@@ -53,9 +53,6 @@ class ManufacturedCase:
     lap_u: object
     p: object
     grad_p: object
-
-    def H(self, pts):
-        return self.grad_phi(pts)
 
     def M(self, pts):
         return material.magnetization(self.grad_phi(pts), self.params)
@@ -198,98 +195,93 @@ CASES = {"l0": case_2d_l0, "l1": case_2d_l1}
 # ---------------------------------------------------------------------------
 
 
-def _integrate(mesh, vals2, rule):
-    """Sum of vals2 (nt, nq) against the quadrature measure."""
-    return float(np.einsum("tq,tq->", rule.weights[None, :] * mesh.det[:, None], vals2))
+def _quadrature(mesh):
+    """The error rule on one mesh: ``(rule, points, w)``.
+
+    ``points`` are the physical quadrature points as an (nt * nq, 2) array,
+    ``w`` (nt, nq) the rule weights times the element Jacobian determinants.
+    """
+    rule = refelem.quadrature(ERROR_QUAD_DEGREE)
+    points = fespace.quad_points(mesh, rule).reshape(-1, 2)
+    return rule, points, rule.weights[None, :] * mesh.det[:, None]
 
 
 def _relative(err, ref):
-    if ref < _DIV_GUARD:
-        return err, False
-    return err / ref, True
+    """``err / ref``, or ``err`` itself when the exact norm vanishes."""
+    return err / ref if ref >= _DIV_GUARD else err
 
 
-def error_l2(field: FEField, exact, quad_deg: int = ERROR_QUAD_DEGREE, relative=False):
-    """L2 error against an exact evaluator (scalar, vector or edge field)."""
-    space = field.space
-    rule = refelem.quadrature(quad_deg)
-    tab = fespace.tabulate(space, rule)
-    vals, _ = fespace.eval_field(field, tab)
-    xq = fespace.quad_points(space.mesh, rule).reshape(-1, 2)
-    ex = np.asarray(exact(xq)).reshape(vals.shape)
-    diff = vals - ex
-    if diff.ndim == 3:
-        err2 = _integrate(space.mesh, (diff * diff).sum(axis=-1), rule)
-        ref2 = _integrate(space.mesh, (ex * ex).sum(axis=-1), rule)
-    else:
-        err2 = _integrate(space.mesh, diff * diff, rule)
-        ref2 = _integrate(space.mesh, ex * ex, rule)
-    err = math.sqrt(max(err2, 0.0))
-    if not relative:
-        return err
-    return _relative(err, math.sqrt(max(ref2, 0.0)))[0]
+def field_error(field: FEField, exact, part: str = "value", exact_curl=None,
+                quad=None, tab=None):
+    """Error and exact norm ``(err, ref)`` of one field in one norm.
+
+    ``part`` picks the norm: "value" is the L2 norm, "grad" the H1 seminorm
+    (element-wise for two-component fields), "hcurl" the H(curl) graph norm
+    of an edge field whose exact curl is ``exact_curl`` (zero when None).
+    ``exact`` and ``exact_curl`` are evaluators on an (n, 2) point array, or
+    ``exact`` holds their values at the rule's points already. ``quad``
+    (from ``_quadrature``) and ``tab`` (the field's tabulation at that rule)
+    are built when not given.
+    """
+    rule, points, w = quad or _quadrature(field.space.mesh)
+    vals, second = fespace.eval_field(field, tab or fespace.tabulate(field.space, rule))
+    terms = [(second if part == "grad" else vals, exact)]
+    if part == "hcurl":
+        terms.append((second, exact_curl or (lambda pts: np.zeros(len(pts)))))
+    err2 = ref2 = 0.0
+    for approx, ex in terms:
+        ex = np.asarray(ex(points) if callable(ex) else ex).reshape(approx.shape)
+        diff = approx - ex
+        axes = tuple(range(2, approx.ndim))  # pointwise squared magnitude
+        err2 += float(np.einsum("tq,tq->", w, (diff * diff).sum(axis=axes)))
+        ref2 += float(np.einsum("tq,tq->", w, (ex * ex).sum(axis=axes)))
+    return math.sqrt(max(err2, 0.0)), math.sqrt(max(ref2, 0.0))
 
 
-def error_h1_semi(field: FEField, exact_grad, quad_deg=ERROR_QUAD_DEGREE, relative=False):
-    """H1-seminorm error of a scalar field against an exact gradient."""
-    space = field.space
-    rule = refelem.quadrature(quad_deg)
-    tab = fespace.tabulate(space, rule)
-    _, grads = fespace.eval_field(field, tab)
-    xq = fespace.quad_points(space.mesh, rule).reshape(-1, 2)
-    ex = np.asarray(exact_grad(xq)).reshape(grads.shape)
-    diff = grads - ex
-    err = math.sqrt(max(_integrate(space.mesh, (diff * diff).sum(axis=-1), rule), 0.0))
-    if not relative:
-        return err
-    ref = math.sqrt(max(_integrate(space.mesh, (ex * ex).sum(axis=-1), rule), 0.0))
-    return _relative(err, ref)[0]
+def _error_norms(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
+    """``(err, ref)`` of every error column: the error and the exact norm.
+
+    One rule, one point set and one tabulation per distinct space (H and M
+    share theirs); each exact field is evaluated once, grad(phi) serving the
+    phi, H and M columns. Each column's arrays are dropped before the next
+    column starts, so the peak memory is that of one column.
+    """
+    quad = rule, points, _ = _quadrature(sol.phi.space.mesh)
+    grad_phi = case.grad_phi(points)
+    norms = {"err_phi_h1": field_error(sol.phi, grad_phi, "grad", quad=quad)}
+    tab = fespace.tabulate(sol.H.space, rule)
+    norms["err_H_hcurl"] = field_error(sol.H, grad_phi, "hcurl", quad=quad, tab=tab)
+    m_exact = material.magnetization(grad_phi, case.params)
+    del grad_phi
+    if sol.M.space is not sol.H.space:
+        tab = None
+    norms["err_M_l2"] = field_error(sol.M, m_exact, quad=quad, tab=tab)
+    del m_exact, tab
+    norms["err_p_l2"] = field_error(sol.p, case.p, quad=quad)
+    # broken H1 norm of the velocity: L2 plus element-wise seminorm
+    tab = fespace.tabulate(sol.u.space, rule)
+    l2, ref_l2 = field_error(sol.u, case.u, quad=quad, tab=tab)
+    semi, ref_semi = field_error(sol.u, case.grad_u, "grad", quad=quad, tab=tab)
+    norms["err_u_h1h"] = math.hypot(semi, l2), math.hypot(ref_l2, ref_semi)
+    return norms
 
 
-def error_h1_broken(field: FEField, exact_grad, quad_deg=ERROR_QUAD_DEGREE, relative=False):
-    """Element-wise H1-seminorm error of a two-component velocity field."""
-    space = field.space
-    rule = refelem.quadrature(quad_deg)
-    tab = fespace.tabulate(space, rule)
-    _, grads = fespace.eval_field(field, tab)  # (nt, nq, 2, 2)
-    xq = fespace.quad_points(space.mesh, rule).reshape(-1, 2)
-    ex = np.asarray(exact_grad(xq)).reshape(grads.shape)
-    diff = grads - ex
-    err = math.sqrt(
-        max(_integrate(space.mesh, (diff * diff).sum(axis=(-1, -2)), rule), 0.0)
-    )
-    if not relative:
-        return err
-    ref = math.sqrt(max(_integrate(space.mesh, (ex * ex).sum(axis=(-1, -2)), rule), 0.0))
-    return _relative(err, ref)[0]
+def measure_errors(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
+    """Relative error columns of one solve against the exact fields.
+
+    The velocity column is the broken H1 norm (L2 plus element-wise
+    seminorm) relative to the full H1 norm of the exact velocity; the
+    magnetic-field column is the H(curl) graph norm, which collapses to the
+    L2 norm because both curls vanish identically. A column whose exact norm
+    vanishes stays absolute.
+    """
+    return {name: _relative(*norms) for name, norms in _error_norms(sol, case).items()}
 
 
-def error_hcurl(field: FEField, exact_v, exact_curl=None, quad_deg=ERROR_QUAD_DEGREE,
-                relative=False):
-    """H(curl) graph-norm error of an edge field."""
-    space = field.space
-    rule = refelem.quadrature(quad_deg)
-    tab = fespace.tabulate(space, rule)
-    vals, curls = fespace.eval_field(field, tab)
-    xq = fespace.quad_points(space.mesh, rule).reshape(-1, 2)
-    ex = np.asarray(exact_v(xq)).reshape(vals.shape)
-    exc = (
-        np.zeros(curls.shape)
-        if exact_curl is None
-        else np.asarray(exact_curl(xq)).reshape(curls.shape)
-    )
-    dv = vals - ex
-    dc = curls - exc
-    err2 = _integrate(space.mesh, (dv * dv).sum(axis=-1), rule) + _integrate(
-        space.mesh, dc * dc, rule
-    )
-    err = math.sqrt(max(err2, 0.0))
-    if not relative:
-        return err
-    ref2 = _integrate(space.mesh, (ex * ex).sum(axis=-1), rule) + _integrate(
-        space.mesh, exc * exc, rule
-    )
-    return _relative(err, math.sqrt(max(ref2, 0.0)))[0]
+def discretization_error_norms(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
+    """Absolute discretization errors in the same norms as the study columns."""
+    norms = _error_norms(sol, case)
+    return {name: norms[name][0] for name in ERROR_COLUMNS}
 
 
 def curl_inf(field: FEField) -> float:
@@ -297,22 +289,6 @@ def curl_inf(field: FEField) -> float:
     rule = refelem.quadrature(1)
     _, curls = fespace.eval_field(field, fespace.tabulate(field.space, rule))
     return float(np.abs(curls).max())
-
-
-def exact_norm(mesh, exact, kind: str, quad_deg: int = ERROR_QUAD_DEGREE) -> float:
-    """Quadrature norm of an exact field: kind in {l2, l2vec, h1vec}."""
-    rule = refelem.quadrature(quad_deg)
-    xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
-    vals = np.asarray(exact(xq))
-    if kind == "l2":
-        v2 = vals.reshape(mesh.n_triangles, rule.n_points) ** 2
-    elif kind == "l2vec":
-        v2 = (vals.reshape(mesh.n_triangles, rule.n_points, 2) ** 2).sum(axis=-1)
-    elif kind == "h1vec":
-        v2 = (vals.reshape(mesh.n_triangles, rule.n_points, 2, 2) ** 2).sum(axis=(-1, -2))
-    else:
-        raise ValueError(kind)
-    return math.sqrt(max(_integrate(mesh, v2, rule), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -376,31 +352,6 @@ class StudyError(RuntimeError):
         self.cause = cause
 
 
-def measure_errors(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
-    """Relative error columns of one solve against the exact fields.
-
-    The velocity column is the broken H1 norm (L2 plus element-wise
-    seminorm) relative to the full H1 norm of the exact velocity; the
-    magnetic-field column is the H(curl) graph norm, which collapses to the
-    L2 norm because both curls vanish identically.
-    """
-    mesh = sol.phi.space.mesh
-    errs = {
-        "err_phi_h1": error_h1_semi(sol.phi, case.grad_phi, relative=True),
-        "err_H_hcurl": error_hcurl(sol.H, case.H, relative=True),
-        "err_M_l2": error_l2(sol.M, case.M, relative=True),
-        "err_p_l2": error_l2(sol.p, case.p, relative=True),
-    }
-    semi = error_h1_broken(sol.u, case.grad_u)
-    l2 = error_l2(sol.u, case.u)
-    ref = math.hypot(
-        exact_norm(mesh, case.u, "l2vec"), exact_norm(mesh, case.grad_u, "h1vec")
-    )
-    errs["err_u_h1h"] = math.hypot(semi, l2) / ref
-    errs["err_u_semi_rel"] = semi / exact_norm(mesh, case.grad_u, "h1vec")
-    return errs
-
-
 def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> StudyRow:
     case = CASES[pair]()
     if params is not None:
@@ -446,7 +397,9 @@ def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> Study
                 "flow": [r.fill for r in sol.diagnostics["oseen"]["reports"]],
             },
         },
-        timings={"solve_s": t1 - t0, "errors_s": t2 - t1},
+        timings={
+            "solve_s": t1 - t0, "errors_s": t2 - t1, **sol.diagnostics["timings"],
+        },
     )
 
 
@@ -499,19 +452,6 @@ def solution_distance(a: driver.FhdSolution, b: driver.FhdSolution) -> dict:
         "err_M_l2": qnorm(mass_u, a.M.coeffs - b.M.coeffs),
         "err_u_h1h": math.hypot(qnorm(kv, du), qnorm(mv, du)),
         "err_p_l2": qnorm(mass_w, a.p.coeffs - b.p.coeffs),
-    }
-
-
-def discretization_error_norms(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
-    """Absolute discretization errors in the same norms as the study columns."""
-    semi = error_h1_broken(sol.u, case.grad_u)
-    l2 = error_l2(sol.u, case.u)
-    return {
-        "err_phi_h1": error_h1_semi(sol.phi, case.grad_phi),
-        "err_H_hcurl": error_hcurl(sol.H, case.H),
-        "err_M_l2": error_l2(sol.M, case.M),
-        "err_u_h1h": math.hypot(semi, l2),
-        "err_p_l2": error_l2(sol.p, case.p),
     }
 
 
@@ -760,7 +700,7 @@ def check_stability_bounds(seed: int = 42, n: int = 8) -> list:
         picard_iters=3, oseen_iters=3,
     )
     setup = driver._Setup(cfg)
-    he_norm = exact_norm(setup.mesh, h_ext, "l2vec")
+    he_norm = field_error(setup.U.zero_field(), h_ext)[1]  # L2 norm of H_e
 
     phi0, _ = driver.initial_guess_phi(cfg, _setup=setup)
     phi = phi0

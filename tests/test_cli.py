@@ -102,6 +102,8 @@ class TestCommands:
         for row in doc["rows"]:
             counts = row["diagnostics"]["solve_iterations"]["flow"]
             assert len(counts) == 3 and all(k > 0 for k in counts)
+            for key in ("solve_s", "errors_s", "picard_s", "flow_s", "recovery_s"):
+                assert row["timings"][key] >= 0.0
 
     def test_run_partial_output_on_failure(self, tmp_path, monkeypatch):
         real = verify._solve_level

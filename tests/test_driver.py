@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             FhdConfig(n=4, case=CASE, picard_iters=0)
 
+    @pytest.mark.parametrize("pair, bump", [("l0", -5), ("l0", 9), ("l1", 7)])
+    def test_rejects_quad_bump_beyond_stocked_rules(self, pair, bump):
+        with pytest.raises(ValueError, match="quad_bump"):
+            FhdConfig(n=4, pair=pair, case=CASE, quad_bump=bump)
+
 
 class TestInitialGuesses:
     def test_zero_data_zero_potential(self):
@@ -109,7 +114,7 @@ class TestPicard:
         setup = driver._Setup(cfg2)
         phi2, _ = driver.picard_elliptic(cfg2, _setup=setup)
         phi6, _ = driver.picard_elliptic(cfg6, _setup=setup)
-        err = verify.error_h1_semi(phi6, CASE.grad_phi)
+        err, _ = verify.field_error(phi6, CASE.grad_phi, "grad")
         gap = setup.grad_norm_phi(phi2.coeffs - phi6.coeffs)
         assert gap <= 0.05 * err
 
@@ -126,7 +131,7 @@ class TestPicard:
         cfg = FhdConfig(n=8, params=prm, h_ext=h_ext, picard_iters=4)
         setup = driver._Setup(cfg)
         phi, _ = driver.picard_elliptic(cfg, _setup=setup)
-        he_norm = verify.exact_norm(setup.mesh, h_ext, "l2vec")
+        he_norm = verify.field_error(setup.U.zero_field(), h_ext)[1]
         assert setup.grad_norm_phi(phi.coeffs) <= he_norm / prm.mu0 * (1 + 1e-10)
 
 

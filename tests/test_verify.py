@@ -82,7 +82,7 @@ class TestErrorNorms:
         mesh = mesh2d.build_uniform_square(4)
         s = fespace.build_space(mesh, "P1")
         f = fespace.interpolate_nodal(s, lambda p: p[:, 0])
-        err = verify.error_l2(f, lambda p: p[:, 0])
+        err, _ = verify.field_error(f, lambda p: p[:, 0])
         assert err < 1e-14
 
     def test_p1_interpolation_error_closed_form(self):
@@ -91,8 +91,8 @@ class TestErrorNorms:
         mesh = mesh2d.build_uniform_square(2)
         s = fespace.build_space(mesh, "P1")
         f = fespace.interpolate_nodal(s, lambda p: p[:, 0] ** 2)
-        err = verify.error_h1_semi(
-            f, lambda p: np.stack([2 * p[:, 0], np.zeros(len(p))], axis=1)
+        err, _ = verify.field_error(
+            f, lambda p: np.stack([2 * p[:, 0], np.zeros(len(p))], axis=1), "grad"
         )
         assert err == pytest.approx(math.sqrt(1.0 / 12.0), abs=1e-14)
         assert err == pytest.approx(mesh2d.mesh_size(mesh) / math.sqrt(6.0), abs=1e-14)
@@ -109,8 +109,8 @@ class TestErrorNorms:
         def exact_curl(p):
             return 2 * p[:, 0] - np.cos(p[:, 1])
 
-        total = verify.error_hcurl(f, exact, exact_curl)
-        l2 = verify.error_l2(f, exact)
+        total, _ = verify.field_error(f, exact, "hcurl", exact_curl)
+        l2, _ = verify.field_error(f, exact)
         rule = refelem.quadrature(8)
         _, curls = fespace.eval_field(f, fespace.tabulate(u, rule))
         xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
@@ -124,9 +124,53 @@ class TestErrorNorms:
         mesh = mesh2d.build_uniform_square(2)
         s = fespace.build_space(mesh, "P1")
         f = fespace.interpolate_nodal(s, lambda p: np.full(len(p), 0.5))
-        err_rel = verify.error_l2(f, lambda p: np.zeros(len(p)), relative=True)
-        err_abs = verify.error_l2(f, lambda p: np.zeros(len(p)))
+        err_abs, ref = verify.field_error(f, lambda p: np.zeros(len(p)))
+        err_rel = verify._relative(err_abs, ref)
         assert err_rel == err_abs > 0
+
+    # relative columns of the evaluator before it became one pass
+    PINNED = {
+        ("l0", 8): {
+            "err_phi_h1": 0.2023273347256535,
+            "err_H_hcurl": 0.20232733472565348,
+            "err_M_l2": 0.20225190863739068,
+            "err_u_h1h": 0.43979110156585066,
+            "err_p_l2": 0.1535598579774233,
+        },
+        ("l1", 4): {
+            "err_phi_h1": 0.05824551875739142,
+            "err_H_hcurl": 0.05824551875739139,
+            "err_M_l2": 0.05815483851150991,
+            "err_u_h1h": 0.027234959911743684,
+            "err_p_l2": 0.034107183635457006,
+        },
+    }
+
+    @pytest.mark.parametrize("pair, n", sorted(PINNED))
+    def test_measure_errors_is_one_pass_and_pinned(self, monkeypatch, pair, n):
+        case = verify.CASES[pair]()
+        sol = driver.solve_fhd(driver.FhdConfig(n=n, pair=pair, case=case))
+        counts = {"quad_points": 0, "tabulate": []}
+        real_points, real_tabulate = fespace.quad_points, fespace.tabulate
+
+        def quad_points(*args):
+            counts["quad_points"] += 1
+            return real_points(*args)
+
+        def tabulate(space, rule):
+            counts["tabulate"].append(space)
+            return real_tabulate(space, rule)
+
+        monkeypatch.setattr(fespace, "quad_points", quad_points)
+        monkeypatch.setattr(fespace, "tabulate", tabulate)
+        errs = verify.measure_errors(sol, case)
+        assert counts["quad_points"] == 1
+        spaces = counts["tabulate"]
+        assert len(spaces) == 4 and len({id(s) for s in spaces}) == 4
+        assert sol.H.space is sol.M.space
+        assert errs.keys() == self.PINNED[pair, n].keys()
+        for name, value in self.PINNED[pair, n].items():
+            assert errs[name] == pytest.approx(value, rel=1e-12)
 
     def test_curl_inf_of_gradient_field(self):
         rng = np.random.default_rng(5)

@@ -128,7 +128,7 @@ class TestErrorNorms:
         err_rel = verify._relative(err_abs, ref)
         assert err_rel == err_abs > 0
 
-    # relative columns of the evaluator before it became one pass
+    # relative columns recorded from the five-evaluator implementation
     PINNED = {
         ("l0", 8): {
             "err_phi_h1": 0.2023273347256535,

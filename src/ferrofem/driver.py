@@ -3,7 +3,9 @@
 Stages, in dependency order:
 
 1. Picard sweeps on the nonlinear potential equation (coefficient frozen at
-   the previous iterate), seeded by the plain Poisson solution.
+   the previous iterate), seeded by the plain Poisson solution. The seed
+   matrix is the only one factored; each sweep runs CG preconditioned by
+   that factor and started from the previous iterate.
 2. Oseen sweeps on the Navier-Stokes saddle system (convecting velocity
    frozen), seeded by the Stokes solution.
 3. Magnetic field recovery H = grad(phi) through the exact coefficient
@@ -11,7 +13,8 @@ Stages, in dependency order:
    round-off), with an optional edge-mass projection path for
    cross-checking.
 4. Edge-space L2 projection of the magnetization and pressure-space
-   projection of the magnetic pressure potential.
+   projection of the magnetic pressure potential, each by Jacobi-
+   preconditioned CG on its mass matrix.
 5. Total pressure p = p_tilde + mu0 * psi, shifted to zero mean.
 
 The potential chain and the flow chain are independent of each other; only
@@ -113,6 +116,8 @@ class _Setup:
         self.G = fespace.gradient_matrix(self.S, self.U)
 
         self.K1 = assembly.assemble_weighted_stiffness(self.S)  # alpha == 1
+        # the potential chain's one factor per level: the Poisson seed's
+        self.phi_factor = linalg.ReusedFactor()
         if cfg.case is not None:
             self.rhs_phi = assembly.elliptic_rhs_manufactured(
                 self.S, cfg.case.grad_phi, cfg.params, cfg.quad_bump
@@ -142,16 +147,19 @@ class _Setup:
         return float(np.sqrt(max(visc_energy / self.cfg.params.eta, 0.0)))
 
 
-def _solve_elliptic(setup: _Setup, a_mat):
-    a_ff, b_f, expand = linalg.reduce_dirichlet(
-        a_mat, setup.rhs_phi, setup.S.free_mask
-    )
-    x, report = linalg.solve_spd(a_ff, b_f)
+def _solve_elliptic(setup: _Setup, a_mat, phi0: FEField | None = None):
+    free = setup.S.free_mask
+    a_ff, b_f, expand = linalg.reduce_dirichlet(a_mat, setup.rhs_phi, free)
+    x0 = None if phi0 is None else phi0.coeffs[free]
+    x, report = linalg.solve_spd(a_ff, b_f, setup.phi_factor, x0)
     return FEField(setup.S, expand(x)), report
 
 
 def initial_guess_phi(cfg: FhdConfig, _setup: _Setup | None = None):
-    """Poisson seed: the alpha == 1 problem with the same data and BC."""
+    """Poisson seed: the alpha == 1 problem with the same data and BC.
+
+    Factors the seed matrix and keeps the factor for the Picard sweeps.
+    """
     setup = _setup or _Setup(cfg)
     return _solve_elliptic(setup, setup.K1)
 
@@ -160,8 +168,11 @@ def picard_elliptic(cfg: FhdConfig, phi0: FEField | None = None, _setup=None):
     """Frozen-coefficient sweeps on the nonlinear potential equation.
 
     Runs ``picard_iters`` sweeps (or stops early once the H1-seminorm update
-    drops below ``picard_tol`` when set). Returns ``(phi, info)`` with the
-    per-sweep linear-solve reports and stagnation metrics.
+    drops below ``picard_tol`` when set). Each sweep is a CG solve
+    preconditioned by the level's kept factor (the Poisson seed's; the first
+    sweep factors its own matrix when there is none) and started from the
+    previous iterate. Returns ``(phi, info)`` with the per-sweep linear-solve
+    reports and stagnation metrics.
     """
     setup = _setup or _Setup(cfg)
     if phi0 is None:
@@ -175,7 +186,7 @@ def picard_elliptic(cfg: FhdConfig, phi0: FEField | None = None, _setup=None):
         a_mat = assembly.assemble_weighted_stiffness(
             setup.S, phi, cfg.params, cfg.quad_bump
         )
-        phi_next, report = _solve_elliptic(setup, a_mat)
+        phi_next, report = _solve_elliptic(setup, a_mat, phi)
         reports.append(report)
         updates.append(setup.grad_norm_phi(phi_next.coeffs - phi.coeffs))
         phi = phi_next
@@ -193,18 +204,21 @@ def initial_guess_velocity(cfg: FhdConfig, _setup: _Setup | None = None):
     return FEField(setup.V, u), FEField(setup.W, p), report
 
 
-def oseen_ns(cfg: FhdConfig, u0: FEField | None = None, _setup=None):
+def oseen_ns(cfg: FhdConfig, u0: FEField | None = None,
+             p0: FEField | None = None, _setup=None):
     """Oseen sweeps: convecting field frozen at the previous iterate.
 
-    Each sweep's Schur GMRES starts from the previous pressure (the Stokes
-    seed's for the first sweep, zero when ``u0`` is given).
+    Each sweep's Schur GMRES starts from the previous pressure: the Stokes
+    seed's for the first sweep, or ``p0`` when ``u0`` is given (zero when
+    ``p0`` is not).
     """
     setup = _setup or _Setup(cfg)
     if u0 is None:
         u0, p0, seed_report = initial_guess_velocity(cfg, _setup=setup)
         reports = [seed_report]
     else:
-        p0 = FEField(setup.W, np.zeros(setup.W.n_scalar))
+        if p0 is None:
+            p0 = FEField(setup.W, np.zeros(setup.W.n_scalar))
         reports = []
     u, p = u0, p0
     for _ in range(cfg.oseen_iters):
@@ -227,7 +241,8 @@ def recover_fields(
     H rides the coefficient identity H = G phi (exactly curl-free); the
     edge-mass projection route is kept behind ``recover_h_via_mass`` for
     cross-validation and reproduces the same coefficients to solver
-    tolerance.
+    tolerance. Every mass matrix is solved by Jacobi-preconditioned CG; the
+    stage factors nothing.
     """
     setup = _setup or _Setup(cfg)
     params = cfg.params
@@ -236,7 +251,7 @@ def recover_fields(
     if cfg.recover_h_via_mass:
         mass_u = assembly.assemble_edge_mass(setup.U, cfg.quad_bump)
         rhs_h = assembly.assemble_edge_rhs(setup.U, phi, cfg.quad_bump)
-        h_coeffs, reports["H"] = linalg.solve_spd(mass_u, rhs_h)
+        h_coeffs, reports["H"] = linalg.solve_spd(mass_u, rhs_h, "jacobi")
     else:
         h_coeffs = setup.G @ phi.coeffs
     H = FEField(setup.U, h_coeffs)
@@ -245,7 +260,7 @@ def recover_fields(
     rhs_m = assembly.assemble_edge_rhs(
         setup.U, (H, lambda vals: material.magnetization(vals, params)), cfg.quad_bump
     )
-    m_coeffs, reports["M"] = linalg.solve_spd(mass_u, rhs_m)
+    m_coeffs, reports["M"] = linalg.solve_spd(mass_u, rhs_m, "jacobi")
     M = FEField(setup.U, m_coeffs)
 
     psi_deg = assembly._edge_quad_degree(setup.U, True, cfg.quad_bump)
@@ -254,7 +269,7 @@ def recover_fields(
     beta_vals = material.beta(np.sqrt((hvals * hvals).sum(axis=-1)), params)
     rhs_psi = assembly.assemble_scalar_rhs(setup.W, beta_vals, psi_deg)
     mass_w = assembly.assemble_scalar_mass(setup.W)
-    psi_coeffs, reports["psi"] = linalg.solve_spd(mass_w, rhs_psi)
+    psi_coeffs, reports["psi"] = linalg.solve_spd(mass_w, rhs_psi, "jacobi")
     psi = FEField(setup.W, psi_coeffs)
 
     p_coeffs = p_tilde.coeffs + params.mu0 * psi_coeffs
@@ -299,6 +314,7 @@ def solve_fhd(cfg: FhdConfig) -> FhdSolution:
         phi, phi_info = picard_elliptic(cfg, _setup=setup)
     except linalg.SolverError as exc:
         raise StageError("potential", exc) from exc
+    setup.phi_factor.lu = None  # free the seed factor before the flow stage
     t1 = time.perf_counter()
     try:
         u, p_tilde, ns_info = oseen_ns(cfg, _setup=setup)

@@ -1,12 +1,17 @@
 """Deterministic sparse solvers for the reduced systems.
 
-Desk-scale problems (<= a few 10^5 dofs) go through SuperLU; every solve
-verifies its own residual and returns a :class:`SolveReport`, which also
-carries the fill of the factorization it used. Every matrix factored here is
-structurally symmetric (the SPD potential and recovery matrices, and the
-velocity block, whose sparsity convection does not change), so every
-factorization uses one fill-reducing ordering: minimum degree on the
-structure of ``A + A'``.
+Desk-scale problems (<= a few 10^5 dofs) use SuperLU only where a factor
+is needed. SPD systems are solved directly by default, or by preconditioned
+CG: the potential chain factors its Poisson seed once per level and
+preconditions each frozen-coefficient Picard matrix with that factor (the
+coefficient is bounded, so the two are spectrally equivalent independently
+of h), and the recovery mass matrices use the Jacobi diagonal and factor
+nothing. Every solve verifies its own residual and returns a
+:class:`SolveReport`, which also carries the fill of the factor it used.
+Every matrix factored here is structurally symmetric (the SPD potential
+matrices and the velocity block, whose sparsity convection does not change),
+so every factorization uses one fill-reducing ordering: minimum degree on
+the structure of ``A + A'``.
 
 Saddle-point systems are solved blockwise: the velocity operator is two equal
 scalar blocks, so one scalar block is factored, and the pressure comes from
@@ -26,6 +31,13 @@ import scipy.sparse.linalg as spla
 from .assembly import SaddleSystem
 
 SPD_RTOL = 1e-10
+# Preconditioned CG on SPD systems stops at CG_RTOL of the right-hand side,
+# below SPD_RTOL so the true-residual check passes despite the drift of the
+# recursive residual. With the seed factor or the Jacobi diagonal the counts
+# do not grow with h; the cap is reached only when a Picard coefficient has
+# moved far from the seed's.
+CG_RTOL = 1e-11
+CG_MAXITER = 50
 SADDLE_RTOL = 1e-9
 # GMRES on the pressure Schur complement. Its residual is the pressure-row
 # residual of the full system, so it stops at SCHUR_RTOL relative to its own
@@ -57,11 +69,48 @@ def _splu(a_csc):
     return spla.splu(a_csc, permc_spec="MMD_AT_PLUS_A")
 
 
-def solve_spd(a: sp.spmatrix, b: np.ndarray):
-    """Direct solve of a symmetric positive definite reduced system.
+class ReusedFactor:
+    """A SuperLU factor kept across the SPD solves of one level.
 
-    Returns ``(x, report)`` with a relative residual below 1e-10; raises
-    :class:`SolverError` with status ``singular`` on breakdown.
+    The first solve through it factors its own matrix and keeps the factor;
+    later solves run CG preconditioned by that factor. A solve whose CG
+    reaches :data:`CG_MAXITER` factors its own matrix, which then serves the
+    rest of the level.
+    """
+
+    def __init__(self):
+        self.lu = None
+
+
+def _cg(a, b, m_solve, x0):
+    """Preconditioned CG: ``(x, iterations)``, ``x`` None at the cap."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    m = spla.LinearOperator(a.shape, matvec=m_solve, dtype=float)
+    x, info = spla.cg(
+        a, b, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=m, callback=count
+    )
+    return (x if info == 0 else None), iterations
+
+
+def solve_spd(a: sp.spmatrix, b: np.ndarray, precond=None, x0=None):
+    """Solve a symmetric positive definite reduced system.
+
+    ``precond`` picks the method: None factors ``a`` (a direct solve);
+    ``"jacobi"`` runs CG preconditioned by ``diag(a)`` and factors nothing;
+    a :class:`ReusedFactor` runs CG preconditioned by its factor (factoring
+    ``a`` when it is empty or CG reaches the cap). ``x0`` starts CG.
+
+    Returns ``(x, report)`` with a relative residual below :data:`SPD_RTOL`;
+    ``report.iterations`` is the CG count (0 for a direct solve) and
+    ``report.fill`` the fill of the factor used (0 for Jacobi). Raises
+    :class:`SolverError` with status ``singular`` on an unsymmetric matrix or
+    a breakdown, ``not_converged`` when Jacobi CG reaches the cap or the
+    residual is above the contract.
     """
     a = a.tocsc()
     asym = abs(a - a.T)
@@ -71,19 +120,39 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray):
             SolveReport(np.inf, 0, "singular"), "matrix is not symmetric"
         )
     b = np.asarray(b, dtype=float)
+    iterations = fill = 0
     try:
-        lu = _splu(a)
-        x = lu.solve(b)
+        if precond is None:
+            lu = _splu(a)
+            x, fill = lu.solve(b), lu.nnz
+        elif isinstance(precond, ReusedFactor):
+            x = None
+            if precond.lu is not None:
+                x, iterations = _cg(a, b, precond.lu.solve, x0)
+            if x is None:
+                precond.lu = _splu(a)
+                x = precond.lu.solve(b)
+            fill = precond.lu.nnz
+        else:
+            diag = a.diagonal()
+            x, iterations = _cg(a, b, lambda r: r / diag, x0)
     except RuntimeError as exc:
         raise SolverError(
-            SolveReport(np.inf, 0, "singular"), f"factorization failed: {exc}"
+            SolveReport(np.inf, iterations, "singular"), f"factorization failed: {exc}"
         ) from exc
+    if x is None:  # Jacobi CG reached the cap
+        raise SolverError(
+            SolveReport(np.inf, iterations, "not_converged"),
+            f"Jacobi CG not converged after {iterations} iterations",
+        )
     if not np.all(np.isfinite(x)):
-        raise SolverError(SolveReport(np.inf, 0, "singular"), "non-finite solution")
+        raise SolverError(
+            SolveReport(np.inf, iterations, "singular"), "non-finite solution"
+        )
     res = np.linalg.norm(b - a @ x)
     rel = res / max(np.linalg.norm(b), 1e-300)
     report = SolveReport(
-        res, 0, "ok" if rel <= SPD_RTOL else "not_converged", lu.nnz
+        res, iterations, "ok" if rel <= SPD_RTOL else "not_converged", fill
     )
     if report.status != "ok":
         raise SolverError(report, f"relative residual {rel:.3e} above {SPD_RTOL}")

@@ -212,7 +212,7 @@ def _relative(err, ref):
 
 
 def field_error(field: FEField, exact, part: str = "value", exact_curl=None,
-                quad=None, tab=None):
+                quad=None, evals=None):
     """Error and exact norm ``(err, ref)`` of one field in one norm.
 
     ``part`` picks the norm: "value" is the L2 norm, "grad" the H1 seminorm
@@ -220,11 +220,11 @@ def field_error(field: FEField, exact, part: str = "value", exact_curl=None,
     of an edge field whose exact curl is ``exact_curl`` (zero when None).
     ``exact`` and ``exact_curl`` are evaluators on an (n, 2) point array, or
     ``exact`` holds their values at the rule's points already. ``quad``
-    (from ``_quadrature``) and ``tab`` (the field's tabulation at that rule)
-    are built when not given.
+    (from ``_quadrature``) and ``evals`` (the field's ``eval_field`` output
+    at that rule) are built when not given.
     """
     rule, points, w = quad or _quadrature(field.space.mesh)
-    vals, second = fespace.eval_field(field, tab or fespace.tabulate(field.space, rule))
+    vals, second = evals or fespace.eval_field(field, fespace.tabulate(field.space, rule))
     terms = [(second if part == "grad" else vals, exact)]
     if part == "hcurl":
         terms.append((second, exact_curl or (lambda pts: np.zeros(len(pts)))))
@@ -242,26 +242,27 @@ def _error_norms(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
     """``(err, ref)`` of every error column: the error and the exact norm.
 
     One rule, one point set and one tabulation per distinct space (H and M
-    share theirs); each exact field is evaluated once, grad(phi) serving the
-    phi, H and M columns. Each column's arrays are dropped before the next
-    column starts, so the peak memory is that of one column.
+    share theirs); each discrete and each exact field is evaluated once,
+    grad(phi) serving the phi, H and M columns. Each column's arrays are
+    dropped before the next column starts, so the peak memory is that of one
+    column.
     """
     quad = rule, points, _ = _quadrature(sol.phi.space.mesh)
     grad_phi = case.grad_phi(points)
     norms = {"err_phi_h1": field_error(sol.phi, grad_phi, "grad", quad=quad)}
     tab = fespace.tabulate(sol.H.space, rule)
-    norms["err_H_hcurl"] = field_error(sol.H, grad_phi, "hcurl", quad=quad, tab=tab)
+    evals = fespace.eval_field(sol.H, tab)
+    norms["err_H_hcurl"] = field_error(sol.H, grad_phi, "hcurl", quad=quad, evals=evals)
     m_exact = material.magnetization(grad_phi, case.params)
     del grad_phi
-    if sol.M.space is not sol.H.space:
-        tab = None
-    norms["err_M_l2"] = field_error(sol.M, m_exact, quad=quad, tab=tab)
-    del m_exact, tab
+    evals = fespace.eval_field(sol.M, tab) if sol.M.space is sol.H.space else None
+    norms["err_M_l2"] = field_error(sol.M, m_exact, quad=quad, evals=evals)
+    del m_exact, tab, evals
     norms["err_p_l2"] = field_error(sol.p, case.p, quad=quad)
     # broken H1 norm of the velocity: L2 plus element-wise seminorm
-    tab = fespace.tabulate(sol.u.space, rule)
-    l2, ref_l2 = field_error(sol.u, case.u, quad=quad, tab=tab)
-    semi, ref_semi = field_error(sol.u, case.grad_u, "grad", quad=quad, tab=tab)
+    evals = fespace.eval_field(sol.u, fespace.tabulate(sol.u.space, rule))
+    l2, ref_l2 = field_error(sol.u, case.u, quad=quad, evals=evals)
+    semi, ref_semi = field_error(sol.u, case.grad_u, "grad", quad=quad, evals=evals)
     norms["err_u_h1h"] = math.hypot(semi, l2), math.hypot(ref_l2, ref_semi)
     return norms
 
@@ -390,7 +391,14 @@ def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> Study
                 },
             },
             "solve_iterations": {
+                "potential": [
+                    r.iterations for r in sol.diagnostics["picard"]["reports"]
+                ],
                 "flow": [r.iterations for r in sol.diagnostics["oseen"]["reports"]],
+                "recovery": {
+                    k: r.iterations
+                    for k, r in sol.diagnostics["recovery_reports"].items()
+                },
             },
             "solve_fill": {
                 "potential": [r.fill for r in sol.diagnostics["picard"]["reports"]],
@@ -726,7 +734,7 @@ def check_stability_bounds(seed: int = 42, n: int = 8) -> list:
         oseen_iters=1,
     )
     for _ in range(cfg.oseen_iters):
-        u, p, _info = driver.oseen_ns(sweep_cfg, u0=u, _setup=setup)
+        u, p, _info = driver.oseen_ns(sweep_cfg, u0=u, p0=p, _setup=setup)
         energy = params.eta * setup.grad_norm_u(u.coeffs) ** 2
         work = float(setup.rhs_u @ u.coeffs)
         worst_u = max(worst_u, energy / max(work, 1e-300))

@@ -102,6 +102,13 @@ class TestCommands:
         for row in doc["rows"]:
             counts = row["diagnostics"]["solve_iterations"]["flow"]
             assert len(counts) == 3 and all(k > 0 for k in counts)
+            # CG on the seed factor: the direct seed, then two Picard sweeps
+            counts = row["diagnostics"]["solve_iterations"]["potential"]
+            assert len(counts) == 3 and counts[0] == 0 and counts[1] > 0
+            fill = row["diagnostics"]["solve_fill"]["potential"]
+            assert len(set(fill)) == 1 and fill[0] > 0
+            recovery = row["diagnostics"]["solve_iterations"]["recovery"]
+            assert set(recovery) == {"M", "psi"} and all(k > 0 for k in recovery.values())
             for key in ("solve_s", "errors_s", "picard_s", "flow_s", "recovery_s"):
                 assert row["timings"][key] >= 0.0
 

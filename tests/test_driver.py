@@ -135,6 +135,88 @@ class TestPicard:
         assert setup.grad_norm_phi(phi.coeffs) <= he_norm / prm.mu0 * (1 + 1e-10)
 
 
+def _count_splu(monkeypatch):
+    calls = []
+    real = driver.linalg.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver.linalg.spla, "splu", counting)
+    return calls
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize(
+        "pair, n, picard_iters, oseen_iters, factorizations",
+        [("l0", 8, 2, 2, 4), ("l1", 4, 8, 6, 8)],
+    )
+    def test_one_potential_factor_per_level(
+        self, monkeypatch, pair, n, picard_iters, oseen_iters, factorizations
+    ):
+        # the Poisson seed plus the Stokes seed and one velocity block per
+        # Oseen sweep; no Picard sweep and no projection factors
+        case = CASE if pair == "l0" else verify.case_2d_l1()
+        calls = _count_splu(monkeypatch)
+        sol = driver.solve_fhd(FhdConfig(
+            n=n, pair=pair, case=case, picard_iters=picard_iters,
+            oseen_iters=oseen_iters,
+        ))
+        assert len(calls) == factorizations == 2 + oseen_iters
+        reports = sol.diagnostics["picard"]["reports"]
+        assert reports[0].iterations == 0 < reports[1].iterations
+        assert len({r.fill for r in reports}) == 1
+        assert all(r.iterations > 0 for r in sol.diagnostics["recovery_reports"].values())
+
+    def test_cg_sweeps_match_direct_sweeps(self, monkeypatch):
+        params = MaterialParams(gamma=4.0, eta=0.5)
+        cfg = FhdConfig(
+            n=16, pair="l1", params=params, case=verify.case_2d_l1(), picard_iters=8
+        )
+        phi_cg, info_cg = driver.picard_elliptic(cfg)
+        real = driver.linalg.solve_spd
+        monkeypatch.setattr(
+            driver.linalg, "solve_spd", lambda a, b, precond=None, x0=None: real(a, b)
+        )
+        phi_lu, info_lu = driver.picard_elliptic(cfg)
+        assert all(r.iterations == 0 for r in info_lu["reports"])
+        assert info_cg["updates"] == pytest.approx(info_lu["updates"], rel=1e-8)
+        scale = np.abs(phi_lu.coeffs).max()
+        assert np.abs(phi_cg.coeffs - phi_lu.coeffs).max() <= 1e-9 * scale
+
+    def test_strong_nonlinearity_stays_under_cap(self, monkeypatch):
+        cfg = make_cfg(n=16, params=MaterialParams(gamma=100.0, Ms=10.0), picard_iters=8)
+        calls = _count_splu(monkeypatch)
+        _, info = driver.picard_elliptic(cfg)
+        counts = [r.iterations for r in info["reports"][1:]]
+        assert len(counts) == 8
+        assert max(counts) < driver.linalg.CG_MAXITER
+        assert len(calls) == 1
+
+    def test_cap_refactors_and_stays_ok(self, monkeypatch):
+        cfg = make_cfg(n=8, picard_iters=3)
+        phi_ref, _ = driver.picard_elliptic(cfg)
+        monkeypatch.setattr(driver.linalg, "CG_MAXITER", 1)
+        calls = _count_splu(monkeypatch)
+        phi, info = driver.picard_elliptic(cfg)
+        assert len(calls) > 1  # a sweep whose CG hit the cap factored its matrix
+        assert all(r.status == "ok" for r in info["reports"])
+        scale = np.abs(phi_ref.coeffs).max()
+        assert np.abs(phi.coeffs - phi_ref.coeffs).max() <= 1e-9 * scale
+
+    def test_sweeps_on_shared_setup_reuse_the_seed_factor(self, monkeypatch):
+        # the one-sweep-at-a-time pattern of verify.check_stability_bounds
+        cfg = make_cfg(n=8, picard_iters=1)
+        setup = driver._Setup(cfg)
+        calls = _count_splu(monkeypatch)
+        phi, _ = driver.initial_guess_phi(cfg, _setup=setup)
+        for _ in range(3):
+            phi, info = driver.picard_elliptic(cfg, phi0=phi, _setup=setup)
+            assert info["reports"][0].iterations > 0
+        assert len(calls) == 1
+
+
 class TestOseen:
     def test_zero_force_zero_solution(self):
         cfg = FhdConfig(n=4, h_ext=zero_external, oseen_iters=2)
@@ -184,6 +266,19 @@ class TestRecovery:
         )
         scale = np.abs(sa.H.coeffs).max()
         assert np.abs(sa.H.coeffs - sb.H.coeffs).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_mass_cg_counts_do_not_grow_with_n(self, pair):
+        case = CASE if pair == "l0" else verify.case_2d_l1()
+        counts = {}
+        for n in (8, 32):
+            sol = driver.solve_fhd(FhdConfig(n=n, pair=pair, case=case))
+            counts[n] = {
+                k: r.iterations for k, r in sol.diagnostics["recovery_reports"].items()
+            }
+        for key in ("M", "psi"):
+            assert 1 <= counts[8][key] <= 50
+            assert counts[32][key] <= counts[8][key] + 2
 
     def test_magnetization_saturates_before_projection(self):
         cfg = make_cfg(n=8)

@@ -172,6 +172,21 @@ class TestErrorNorms:
         for name, value in self.PINNED[pair, n].items():
             assert errs[name] == pytest.approx(value, rel=1e-12)
 
+    def test_measure_errors_evaluates_each_field_once(self, monkeypatch):
+        case = verify.CASES["l0"]()
+        sol = driver.solve_fhd(driver.FhdConfig(n=8, case=case))
+        fields = []
+        real = fespace.eval_field
+
+        def eval_field(field, tab):
+            fields.append(field)
+            return real(field, tab)
+
+        monkeypatch.setattr(fespace, "eval_field", eval_field)
+        verify.measure_errors(sol, case)
+        assert len(fields) == len({id(f) for f in fields}) == 5
+        assert any(f is sol.u for f in fields)
+
     def test_curl_inf_of_gradient_field(self):
         rng = np.random.default_rng(5)
         mesh = mesh2d.build_uniform_square(8)
@@ -273,6 +288,24 @@ class TestBattery:
         b4 = verify.infsup_constant("l0", 4)
         b8 = verify.infsup_constant("l0", 8)
         assert 0.4 < b8 < b4 < 0.7
+
+    def test_stability_check_warm_starts_oseen_sweeps(self, monkeypatch):
+        counts = []
+        real = driver.linalg.solve_saddle
+
+        def counting(sys, p0=None):
+            u, p, report = real(sys, p0)
+            counts.append(report.iterations)
+            return u, p, report
+
+        monkeypatch.setattr(driver.linalg, "solve_saddle", counting)
+        results = verify.check_stability_bounds(n=8)
+        assert [r.name for r in results if r.passed] == [
+            "stability-potential", "stability-velocity-energy"
+        ]
+        # Stokes seed plus three sweeps; 18 + 3 * 22 = 84 when each sweep
+        # started from p = 0
+        assert len(counts) == 4 and sum(counts) <= 50
 
     def test_quick_battery_all_pass(self):
         results = verify.run_property_battery(seed=42, quick=True)

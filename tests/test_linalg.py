@@ -34,6 +34,19 @@ class TestSolveSpd:
         assert rep.fill > 0
         assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) < 1e-9
 
+    def test_jacobi_cg_matches_direct_and_reports_cap(self, monkeypatch):
+        mesh = mesh2d.build_uniform_square(8)
+        mass = assembly.assemble_edge_mass(fespace.build_space(mesh, "NE1"))
+        b = np.random.default_rng(1).standard_normal(mass.shape[0])
+        x_lu, _ = linalg.solve_spd(mass, b)
+        x, rep = linalg.solve_spd(mass, b, "jacobi")
+        assert rep.status == "ok" and rep.iterations > 0 and rep.fill == 0
+        assert np.linalg.norm(x - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
+        monkeypatch.setattr(linalg, "CG_MAXITER", 1)
+        with pytest.raises(SolverError, match="Jacobi CG") as err:
+            linalg.solve_spd(mass, b, "jacobi")
+        assert err.value.report.status == "not_converged"
+
     def test_rejects_unsymmetric(self):
         a = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(SolverError, match="symmetric"):

@@ -227,14 +227,6 @@ class SaddleSystem:
     free_u: np.ndarray
     g: np.ndarray
 
-    @property
-    def n_velocity(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_pressure(self) -> int:
-        return self.B.shape[0]
-
     def with_operator(self, A: sp.csr_matrix, rhs_u=None, g=None) -> "SaddleSystem":
         out = replace(self, A=A)
         if rhs_u is not None:

@@ -48,7 +48,6 @@ class RunConfig:
     picard_iters: int = 2
     oseen_iters: int = 2
     quad_bump: int = 2
-    seed: int = 42
     out_csv: str = "study.csv"
     out_json: str = "study.json"
 
@@ -58,6 +57,8 @@ class RunConfig:
         if gamma is None and chi0 is None:
             gamma = 1.0
         if gamma is None:
+            if not self.Ms > 0.0:  # checked here, before it divides
+                raise ValueError(f"Ms must be strictly positive, got {self.Ms}")
             gamma = 3.0 * chi0 / self.Ms
         kwargs = dict(mu0=self.mu0, Ms=self.Ms, gamma=gamma, rho=self.rho, eta=self.eta)
         if chi0 is not None:
@@ -99,7 +100,6 @@ _PARSERS = {
     "picard_iters": int,
     "oseen_iters": int,
     "quad_bump": int,
-    "seed": int,
     "out_csv": str,
     "out_json": str,
 }
@@ -167,9 +167,12 @@ def format_csv(report: verify.StudyReport, failed_at: int | None = None) -> str:
         cols.append(f"{row.curl_inf:.3e}")  # 4 significant digits
         out.write(",".join(cols) + "\n")
     if report.orders_lsq:
-        pairwise = [_fmt(report.orders_pairwise[c][-1]) for c in _ERROR_COLS]
+        # a column without orders leaves its cells empty, as curl_inf does
+        pairwise = [report.orders_pairwise[c] for c in _ERROR_COLS]
+        pairwise = ["" if pw is None else _fmt(pw[-1]) for pw in pairwise]
         out.write("order_pairwise,," + ",".join(pairwise) + ",\n")
-        lsq = [_fmt(report.orders_lsq[c]) for c in _ERROR_COLS]
+        lsq = ["" if report.orders_lsq[c] is None else _fmt(report.orders_lsq[c])
+               for c in _ERROR_COLS]
         out.write("order_lsq,," + ",".join(lsq) + ",\n")
     if failed_at is not None:
         out.write(f"# FAILED at N={failed_at}\n")

@@ -10,8 +10,7 @@ Stages, in the order they run:
    that factor and started from the previous iterate.
 3. Magnetic field recovery H = grad(phi) through the exact coefficient
    identity of the gradient inclusion matrix (so curl H vanishes to
-   round-off), with an optional edge-mass projection path for
-   cross-checking.
+   round-off).
 4. Edge-space L2 projection of the magnetization and pressure-space
    projection of the magnetic pressure potential, each by Jacobi-
    preconditioned CG on its mass matrix.
@@ -73,7 +72,6 @@ class FhdConfig:
     case: object | None = None
     h_ext: object | None = None
     body_force: object | None = None
-    recover_h_via_mass: bool = False
     picard_tol: float | None = None
 
     def __post_init__(self):
@@ -106,8 +104,8 @@ class FhdSolution:
     diagnostics: dict
 
 
-class _Setup:
-    """Spaces, constant matrices and data vectors shared across stages."""
+class Problem:
+    """One mesh level's spaces, matrices, data vectors and kept potential factor."""
 
     def __init__(self, cfg: FhdConfig):
         self.cfg = cfg
@@ -151,36 +149,36 @@ class _Setup:
         return float(np.sqrt(max(visc_energy / self.cfg.params.eta, 0.0)))
 
 
-def _solve_elliptic(setup: _Setup, a_mat, phi0: FEField | None = None):
-    free = setup.S.free_mask
-    a_ff, b_f, expand = linalg.reduce_dirichlet(a_mat, setup.rhs_phi, free)
+def _solve_elliptic(prob: Problem, a_mat, phi0: FEField | None = None):
+    free = prob.S.free_mask
+    a_ff, b_f, expand = linalg.reduce_dirichlet(a_mat, prob.rhs_phi, free)
     x0 = None if phi0 is None else phi0.coeffs[free]
-    x, report = linalg.solve_spd(a_ff, b_f, setup.phi_factor, x0)
-    return FEField(setup.S, expand(x)), report
+    x, report = linalg.solve_spd(a_ff, b_f, prob.phi_factor, x0)
+    return FEField(prob.S, expand(x)), report
 
 
-def initial_guess_phi(cfg: FhdConfig, _setup: _Setup | None = None):
+def initial_guess_phi(prob: Problem):
     """Poisson seed: the alpha == 1 problem with the same data and BC.
 
     Factors the seed matrix and keeps the factor for the Picard sweeps.
     """
-    setup = _setup or _Setup(cfg)
-    return _solve_elliptic(setup, setup.K1)
+    return _solve_elliptic(prob, prob.K1)
 
 
-def picard_elliptic(cfg: FhdConfig, phi0: FEField | None = None, _setup=None):
+def picard_elliptic(prob: Problem, phi0: FEField | None = None):
     """Frozen-coefficient sweeps on the nonlinear potential equation.
 
-    Runs ``picard_iters`` sweeps (or stops early once the H1-seminorm update
-    drops below ``picard_tol`` when set). Each sweep is a CG solve
-    preconditioned by the level's kept factor (the Poisson seed's; the first
-    sweep factors its own matrix when there is none) and started from the
-    previous iterate. Returns ``(phi, info)`` with the per-sweep linear-solve
-    reports and stagnation metrics.
+    Runs ``picard_iters`` sweeps from ``phi0`` (the Poisson seed when None),
+    or stops early once the H1-seminorm update drops below ``picard_tol``
+    when set. Each sweep is a CG solve preconditioned by the problem's kept
+    factor (the Poisson seed's; the first sweep factors its own matrix when
+    there is none) and started from the previous iterate. Returns
+    ``(phi, info)`` with the per-sweep linear-solve reports and stagnation
+    metrics.
     """
-    setup = _setup or _Setup(cfg)
+    cfg = prob.cfg
     if phi0 is None:
-        phi0, seed_report = initial_guess_phi(cfg, _setup=setup)
+        phi0, seed_report = initial_guess_phi(prob)
         reports = [seed_report]
     else:
         reports = []
@@ -188,11 +186,11 @@ def picard_elliptic(cfg: FhdConfig, phi0: FEField | None = None, _setup=None):
     updates = []
     for _ in range(cfg.picard_iters):
         a_mat = assembly.assemble_weighted_stiffness(
-            setup.S, phi, cfg.params, cfg.quad_bump
+            prob.S, phi, cfg.params, cfg.quad_bump
         )
-        phi_next, report = _solve_elliptic(setup, a_mat, phi)
+        phi_next, report = _solve_elliptic(prob, a_mat, phi)
         reports.append(report)
-        updates.append(setup.grad_norm_phi(phi_next.coeffs - phi.coeffs))
+        updates.append(prob.grad_norm_phi(phi_next.coeffs - phi.coeffs))
         phi = phi_next
         if cfg.picard_tol is not None and updates[-1] < cfg.picard_tol:
             break
@@ -200,96 +198,81 @@ def picard_elliptic(cfg: FhdConfig, phi0: FEField | None = None, _setup=None):
     return phi, info
 
 
-def initial_guess_velocity(cfg: FhdConfig, _setup: _Setup | None = None):
+def initial_guess_velocity(prob: Problem):
     """Stokes seed: the saddle system without the convection matrix."""
-    setup = _setup or _Setup(cfg)
-    sys = setup.saddle.with_operator(setup.visc, rhs_u=setup.rhs_u, g=setup.g)
+    sys = prob.saddle.with_operator(prob.visc, rhs_u=prob.rhs_u, g=prob.g)
     u, p, report = linalg.solve_saddle(sys)
-    return FEField(setup.V, u), FEField(setup.W, p), report
+    return FEField(prob.V, u), FEField(prob.W, p), report
 
 
-def oseen_ns(cfg: FhdConfig, u0: FEField | None = None,
-             p0: FEField | None = None, _setup=None):
+def oseen_ns(prob: Problem, start: tuple[FEField, FEField] | None = None):
     """Oseen sweeps: convecting field frozen at the previous iterate.
 
-    Each sweep's Schur GMRES starts from the previous pressure: the Stokes
-    seed's for the first sweep, or ``p0`` when ``u0`` is given (zero when
-    ``p0`` is not).
+    Starts from ``start = (u, p)``, or from the Stokes seed when it is None.
+    Each sweep's Schur GMRES starts from the previous pressure.
     """
-    setup = _setup or _Setup(cfg)
-    if u0 is None:
-        u0, p0, seed_report = initial_guess_velocity(cfg, _setup=setup)
+    if start is None:
+        u, p, seed_report = initial_guess_velocity(prob)
         reports = [seed_report]
     else:
-        if p0 is None:
-            p0 = FEField(setup.W, np.zeros(setup.W.n_scalar))
-        reports = []
-    u, p = u0, p0
-    for _ in range(cfg.oseen_iters):
-        conv = assembly.assemble_convection(setup.V, u, cfg.params.rho)
-        sys = setup.saddle.with_operator(
-            (setup.visc + conv).tocsr(), rhs_u=setup.rhs_u, g=setup.g
+        (u, p), reports = start, []
+    for _ in range(prob.cfg.oseen_iters):
+        conv = assembly.assemble_convection(prob.V, u, prob.cfg.params.rho)
+        sys = prob.saddle.with_operator(
+            (prob.visc + conv).tocsr(), rhs_u=prob.rhs_u, g=prob.g
         )
         u_coeffs, p_coeffs, report = linalg.solve_saddle(sys, p0=p.coeffs)
         reports.append(report)
-        u = FEField(setup.V, u_coeffs)
-        p = FEField(setup.W, p_coeffs)
+        u = FEField(prob.V, u_coeffs)
+        p = FEField(prob.W, p_coeffs)
     return u, p, {"reports": reports}
 
 
 def recover_fields(
-    cfg: FhdConfig, phi: FEField, u: FEField, p_tilde: FEField, _setup=None
+    prob: Problem, phi: FEField, u: FEField, p_tilde: FEField
 ) -> FhdSolution:
     """Steps 3-5: magnetic field, magnetization, pressure potential, pressure.
 
-    H rides the coefficient identity H = G phi (exactly curl-free); the
-    edge-mass projection route is kept behind ``recover_h_via_mass`` for
-    cross-validation and reproduces the same coefficients to solver
-    tolerance. Every mass matrix is solved by Jacobi-preconditioned CG; the
-    stage factors nothing.
+    H rides the coefficient identity H = G phi (exactly curl-free). Every
+    mass matrix is solved by Jacobi-preconditioned CG; the stage factors
+    nothing.
     """
-    setup = _setup or _Setup(cfg)
+    cfg = prob.cfg
     params = cfg.params
     reports = {}
 
-    if cfg.recover_h_via_mass:
-        mass_u = assembly.assemble_edge_mass(setup.U, cfg.quad_bump)
-        rhs_h = assembly.assemble_edge_rhs(setup.U, phi, cfg.quad_bump)
-        h_coeffs, reports["H"] = linalg.solve_spd(mass_u, rhs_h, "jacobi")
-    else:
-        h_coeffs = setup.G @ phi.coeffs
-    H = FEField(setup.U, h_coeffs)
+    H = FEField(prob.U, prob.G @ phi.coeffs)
 
-    mass_u = assembly.assemble_edge_mass(setup.U, cfg.quad_bump)
+    mass_u = assembly.assemble_edge_mass(prob.U, cfg.quad_bump)
     rhs_m = assembly.assemble_edge_rhs(
-        setup.U, (H, lambda vals: material.magnetization(vals, params)), cfg.quad_bump
+        prob.U, (H, lambda vals: material.magnetization(vals, params)), cfg.quad_bump
     )
     m_coeffs, reports["M"] = linalg.solve_spd(mass_u, rhs_m, "jacobi")
-    M = FEField(setup.U, m_coeffs)
+    M = FEField(prob.U, m_coeffs)
 
-    psi_deg = assembly._edge_quad_degree(setup.U, True, cfg.quad_bump)
+    psi_deg = assembly._edge_quad_degree(prob.U, True, cfg.quad_bump)
     rule = refelem.quadrature(psi_deg)
-    hvals, _ = fespace.eval_field(H, fespace.tabulate(setup.U, rule))
+    hvals, _ = fespace.eval_field(H, fespace.tabulate(prob.U, rule))
     beta_vals = material.beta(np.sqrt((hvals * hvals).sum(axis=-1)), params)
-    rhs_psi = assembly.assemble_scalar_rhs(setup.W, beta_vals, psi_deg)
-    mass_w = assembly.assemble_scalar_mass(setup.W)
+    rhs_psi = assembly.assemble_scalar_rhs(prob.W, beta_vals, psi_deg)
+    mass_w = assembly.assemble_scalar_mass(prob.W)
     psi_coeffs, reports["psi"] = linalg.solve_spd(mass_w, rhs_psi, "jacobi")
-    psi = FEField(setup.W, psi_coeffs)
+    psi = FEField(prob.W, psi_coeffs)
 
     p_coeffs = p_tilde.coeffs + params.mu0 * psi_coeffs
-    volume = float(setup.saddle.mean.sum())
-    p_coeffs = p_coeffs - (setup.saddle.mean @ p_coeffs) / volume
-    p = FEField(setup.W, p_coeffs)
+    volume = float(prob.saddle.mean.sum())
+    p_coeffs = p_coeffs - (prob.saddle.mean @ p_coeffs) / volume
+    p = FEField(prob.W, p_coeffs)
 
-    B = FEField(setup.U, params.mu0 * (H.coeffs + M.coeffs))
+    B = FEField(prob.U, params.mu0 * (H.coeffs + M.coeffs))
 
     curl_rule = refelem.quadrature(1)
-    _, curls = fespace.eval_field(H, fespace.tabulate(setup.U, curl_rule))
+    _, curls = fespace.eval_field(H, fespace.tabulate(prob.U, curl_rule))
     diagnostics = {
         "recovery_reports": reports,
         "curl_h_inf": float(np.abs(curls).max()),
-        "grad_phi_norm": setup.grad_norm_phi(phi.coeffs),
-        "grad_u_norm": setup.grad_norm_u(u.coeffs),
+        "grad_phi_norm": prob.grad_norm_phi(phi.coeffs),
+        "grad_u_norm": prob.grad_norm_u(u.coeffs),
     }
     return FhdSolution(
         phi=phi, H=H, M=M, u=u, p_tilde=p_tilde, psi=psi, p=p, B=B,
@@ -312,21 +295,21 @@ def solve_fhd(cfg: FhdConfig) -> FhdSolution:
     ``diagnostics["timings"]`` holds the wall time of the potential, flow and
     recovery stages (``picard_s``, ``flow_s``, ``recovery_s``, seconds).
     """
-    setup = _Setup(cfg)
+    prob = Problem(cfg)
     t0 = time.perf_counter()
     try:
-        u, p_tilde, ns_info = oseen_ns(cfg, _setup=setup)
+        u, p_tilde, ns_info = oseen_ns(prob)
     except linalg.SolverError as exc:
         raise StageError("navier-stokes", exc) from exc
     t1 = time.perf_counter()
     try:
-        phi, phi_info = picard_elliptic(cfg, _setup=setup)
+        phi, phi_info = picard_elliptic(prob)
     except linalg.SolverError as exc:
         raise StageError("potential", exc) from exc
-    setup.phi_factor.lu = None  # the seed factor lives through the Picard stage only
+    prob.phi_factor.lu = None  # the seed factor lives through the Picard stage only
     t2 = time.perf_counter()
     try:
-        sol = recover_fields(cfg, phi, u, p_tilde, _setup=setup)
+        sol = recover_fields(prob, phi, u, p_tilde)
     except linalg.SolverError as exc:
         raise StageError("recovery", exc) from exc
     sol.diagnostics["picard"] = phi_info

@@ -270,16 +270,19 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
 
 
 def reduce_dirichlet(a: sp.spmatrix, b: np.ndarray, free: np.ndarray, g=None):
-    """Restrict ``a x = b`` to the free dofs, lifting prescribed values.
+    """Restrict ``a x = b`` to the free dofs, lifting prescribed values ``g``.
 
-    Returns ``(a_ff, b_f, expand)`` where ``expand`` maps a free-dof solution
-    back to full length with the prescribed values filled in.
+    ``g=None`` means zero values, which need no lift. Returns
+    ``(a_ff, b_f, expand)`` where ``expand`` maps a free-dof solution back to
+    full length with the prescribed values filled in.
     """
-    a = a.tocsr()
+    a_free = a.tocsr()[free]
+    a_ff = a_free[:, free]
     if g is None:
         g = np.zeros(a.shape[0])
-    a_ff = a[free][:, free]
-    b_f = b[free] - a[free][:, ~free] @ g[~free]
+        b_f = b[free]
+    else:
+        b_f = b[free] - a_free[:, ~free] @ g[~free]
 
     def expand(x_f):
         x = g.copy()

@@ -337,7 +337,10 @@ class StudyReport:
         if len(self.rows) >= 2:
             hs = self.hs()
             for name in ERROR_COLUMNS:
-                pw, lsq = convergence_orders(self.column(name), hs)
+                errors = self.column(name)
+                # an error that underflowed to zero has no log, so no order
+                ok = all(e > 0.0 for e in errors)
+                pw, lsq = convergence_orders(errors, hs) if ok else (None, None)
                 self.orders_pairwise[name] = pw
                 self.orders_lsq[name] = lsq
         return self
@@ -596,8 +599,16 @@ def check_convection_skew(seed: int = 42, n: int = 8, n_triples: int = 100) -> l
     ]
 
 
+def project_gradient(phi: FEField, edge_space: fespace.FESpace) -> FEField:
+    """Edge-mass L2 projection of grad(phi) by Jacobi CG (the mass route to H)."""
+    mass = assembly.assemble_edge_mass(edge_space)
+    rhs = assembly.assemble_edge_rhs(edge_space, phi)
+    coeffs, _ = linalg.solve_spd(mass, rhs, "jacobi")
+    return FEField(edge_space, coeffs)
+
+
 def check_commuting_diagram(seed: int = 42, n: int = 5) -> list:
-    """Edge interpolation of gradients equals the gradient matrix route."""
+    """Edge interpolation, inclusion and projection of gradients match G phi."""
     rng = np.random.default_rng(seed)
     mesh = mesh2d.build_uniform_square(n)
     res = []
@@ -636,6 +647,11 @@ def check_commuting_diagram(seed: int = 42, n: int = 5) -> list:
         gap2 = np.abs(hv - gp).max() / max(np.abs(gp).max(), 1.0)
         res.append(
             _result(f"gradient-inclusion-{s_fam}-{u_fam}", gap2 <= 1e-12, f"gap {gap2:.2e}")
+        )
+        proj = project_gradient(phi, u).coeffs
+        gap3 = np.abs(proj - h.coeffs).max() / np.abs(h.coeffs).max()
+        res.append(
+            _result(f"gradient-projection-{s_fam}-{u_fam}", gap3 <= 1e-9, f"gap {gap3:.2e}")
         )
     return res
 
@@ -689,10 +705,14 @@ def check_infsup(levels=(4, 8, 16)) -> list:
     return res
 
 
-def check_stability_bounds(seed: int = 42, n: int = 8) -> list:
-    """Discrete energy bounds of the two solve chains (external-field mode)."""
+def check_stability_bounds(n: int = 8) -> list:
+    """Discrete energy bounds of the two solve chains (external-field mode).
+
+    One sweep per call on one problem: factor and warm start carry over.
+    """
     res = []
     params = MaterialParams(mu0=2.0, Ms=1.5, gamma=1.0, rho=1.0, eta=0.7)
+    n_sweeps = 3
 
     def h_ext(pts):
         x, y = pts[:, 0], pts[:, 1]
@@ -703,21 +723,18 @@ def check_stability_bounds(seed: int = 42, n: int = 8) -> list:
     def body_force(pts):
         return np.stack([np.sin(np.pi * pts[:, 1]), np.sin(np.pi * pts[:, 0])], axis=1)
 
-    cfg = FhdConfig(
+    prob = driver.Problem(FhdConfig(
         n=n, pair="l0", params=params, h_ext=h_ext, body_force=body_force,
-        picard_iters=3, oseen_iters=3,
-    )
-    setup = driver._Setup(cfg)
-    he_norm = field_error(setup.U.zero_field(), h_ext)[1]  # L2 norm of H_e
+        picard_iters=1, oseen_iters=1,
+    ))
+    he_norm = field_error(prob.U.zero_field(), h_ext)[1]  # L2 norm of H_e
 
-    phi0, _ = driver.initial_guess_phi(cfg, _setup=setup)
-    phi = phi0
+    phi, _ = driver.initial_guess_phi(prob)
     ok_phi = True
     worst = 0.0
-    phi_cfg = FhdConfig(n=n, pair="l0", params=params, h_ext=h_ext, picard_iters=1)
-    for _ in range(cfg.picard_iters):
-        phi, info = driver.picard_elliptic(phi_cfg, phi0=phi, _setup=setup)
-        ratio = setup.grad_norm_phi(phi.coeffs) / (he_norm / params.mu0)
+    for _ in range(n_sweeps):
+        phi, _ = driver.picard_elliptic(prob, phi)
+        ratio = prob.grad_norm_phi(phi.coeffs) / (he_norm / params.mu0)
         worst = max(worst, ratio)
         ok_phi &= ratio <= 1.0 + 1e-10
     res.append(
@@ -726,17 +743,13 @@ def check_stability_bounds(seed: int = 42, n: int = 8) -> list:
         )
     )
 
-    u, p, _ = driver.initial_guess_velocity(cfg, _setup=setup)
+    u, p, _ = driver.initial_guess_velocity(prob)
     ok_u = True
     worst_u = 0.0
-    sweep_cfg = FhdConfig(
-        n=n, pair="l0", params=params, h_ext=h_ext, body_force=body_force,
-        oseen_iters=1,
-    )
-    for _ in range(cfg.oseen_iters):
-        u, p, _info = driver.oseen_ns(sweep_cfg, u0=u, p0=p, _setup=setup)
-        energy = params.eta * setup.grad_norm_u(u.coeffs) ** 2
-        work = float(setup.rhs_u @ u.coeffs)
+    for _ in range(n_sweeps):
+        u, p, _ = driver.oseen_ns(prob, (u, p))
+        energy = params.eta * prob.grad_norm_u(u.coeffs) ** 2
+        work = float(prob.rhs_u @ u.coeffs)
         worst_u = max(worst_u, energy / max(work, 1e-300))
         ok_u &= energy <= work * (1.0 + 1e-10)
     res.append(
@@ -773,6 +786,6 @@ def run_property_battery(seed: int = 42, quick: bool = False,
     results += check_convection_skew(seed, n=4 if quick else 8, n_triples=20 if quick else 100)
     results += check_commuting_diagram(seed, n=3 if quick else 5)
     results += check_infsup()  # the level window is part of the criterion
-    results += check_stability_bounds(seed, n=4 if quick else 8)
+    results += check_stability_bounds(n=4 if quick else 8)
     results += check_cr_kernel(n=4)
     return results

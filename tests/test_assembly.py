@@ -323,16 +323,15 @@ class TestNsRhs:
         case = verify.case_2d_l0()
         duals = []
         for n in (4, 8, 16):
-            cfg = driver.FhdConfig(n=n, pair="l0", case=case)
-            setup = driver._Setup(cfg)
-            ui = fespace.interpolate_nodal(setup.V, case.u)
-            mw = assembly.assemble_scalar_mass(setup.W)
-            pi_rhs = assembly.assemble_scalar_rhs(setup.W, case.p_tilde, 6)
+            prob = driver.Problem(driver.FhdConfig(n=n, pair="l0", case=case))
+            ui = fespace.interpolate_nodal(prob.V, case.u)
+            mw = assembly.assemble_scalar_mass(prob.W)
+            pi_rhs = assembly.assemble_scalar_rhs(prob.W, case.p_tilde, 6)
             pi, _ = linalg.solve_spd(mw, pi_rhs)
-            conv = assembly.assemble_convection(setup.V, ui, case.params.rho)
-            a = (setup.visc + conv).tocsr()
-            r = (setup.rhs_u - (a @ ui.coeffs - setup.saddle.B.T @ pi))[setup.V.free_mask]
-            kff = setup.visc[setup.V.free_mask][:, setup.V.free_mask]
+            conv = assembly.assemble_convection(prob.V, ui, case.params.rho)
+            a = (prob.visc + conv).tocsr()
+            r = (prob.rhs_u - (a @ ui.coeffs - prob.saddle.B.T @ pi))[prob.V.free_mask]
+            kff = prob.visc[prob.V.free_mask][:, prob.V.free_mask]
             z, _ = linalg.solve_spd(kff, r)
             duals.append(math.sqrt(r @ z))
         assert duals[2] < duals[1] < duals[0]

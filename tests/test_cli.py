@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ferrofem import cli, driver, verify
 from ferrofem.cli import ConfigError, parse_config
@@ -14,7 +18,6 @@ class TestParseConfig:
         assert cfg.picard_iters == 2
         assert cfg.oseen_iters == 2
         assert cfg.quad_bump == 2
-        assert cfg.seed == 42
         prm = cfg.material_params()
         assert (prm.mu0, prm.Ms, prm.gamma, prm.rho, prm.eta) == (1, 1, 1, 1, 1)
 
@@ -184,6 +187,37 @@ class TestMain:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed = 7\n", "config error: line 1: unknown key 'seed'"),
+            # gamma = 3 chi0 / Ms would divide by zero
+            ("levels = 2\nchi0 = 1\nMs = 0\n", "config error: Ms must be strictly positive"),
+        ],
+    )
+    def test_dead_seed_key_and_zero_ms_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["table", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_error_column_gets_no_order(self, tmp_path):
+        # the exact M norm underflows, so err_M_l2 is exactly zero on both levels
+        path = tmp_path / "tiny.cfg"
+        path.write_text("Ms = 1e-308\nlevels = 2,4\n")
+        out_csv, out_json = tmp_path / "t.csv", tmp_path / "t.json"
+        rc = cli.main(["run", "--config", str(path), "--out-csv", str(out_csv),
+                       "--out-json", str(out_json)])
+        assert rc == 0
+        col = cli.CSV_HEADER.split(",").index("err_M_l2")
+        rows = [line.split(",") for line in out_csv.read_text().strip().split("\n")]
+        assert [row[col] for row in rows[1:]] == ["0", "0", "", ""]
+        assert all(row[col - 1] != "" for row in rows[3:])
+        doc = json.loads(out_json.read_text())
+        assert doc["orders_lsq"]["err_M_l2"] is None
+        assert doc["orders_pairwise"]["err_M_l2"] is None
+        assert doc["orders_lsq"]["err_phi_h1"] > 0
+
     def test_run_roundtrip(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("levels = 4\n")
@@ -220,3 +254,39 @@ class TestMain:
             assert rc == 0
             outs.append((tmp_path / f"{tag}.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+_WIDE_FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-308"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+_CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format,
+              st.sampled_from(["mu0", "Ms", "gamma", "chi0", "rho", "eta"]), _WIDE_FLOATS),
+    # the keys that cost time stay small: levels 2..6, at most 3 sweeps
+    st.builds("levels = {}".format,
+              st.lists(st.integers(2, 6), min_size=1, max_size=3).map(
+                  lambda ns: ",".join(map(str, ns)))),
+    st.builds("{} = {}".format,
+              st.sampled_from(["picard_iters", "oseen_iters"]), st.integers(-1, 3)),
+    st.builds("quad_bump = {}".format, st.integers(-2, 10)),
+    st.sampled_from(["pair = l0", "pair = l1", "pair = l2", "study = uniform-square",
+                     "study = disc"]),
+    st.text(max_size=20),  # junk
+)
+
+
+class TestFuzz:
+    @given(st.lists(_CONFIG_LINES, max_size=6).map("\n".join))
+    @example("Ms = 1e-308\nlevels = 2,4")
+    @example("chi0 = 1\nMs = 0")
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_table_exits_with_a_code_never_a_traceback(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+        # a bounded levels line first, so no example runs the default study
+        path.write_text("levels = 2,3\n" + text + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["table", "--config", str(path)])
+        assert rc in (0, 1, 2)

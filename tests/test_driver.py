@@ -41,7 +41,7 @@ class TestConfig:
 class TestInitialGuesses:
     def test_zero_data_zero_potential(self):
         cfg = FhdConfig(n=4, h_ext=zero_external)
-        phi, rep = driver.initial_guess_phi(cfg)
+        phi, rep = driver.initial_guess_phi(driver.Problem(cfg))
         assert np.abs(phi.coeffs).max() == 0.0
 
     def test_poisson_guess_independent_of_magnetization_constants(self):
@@ -54,12 +54,12 @@ class TestInitialGuesses:
                 axis=1,
             )
 
-        phi_a, _ = driver.initial_guess_phi(
+        phi_a, _ = driver.initial_guess_phi(driver.Problem(
             FhdConfig(n=6, params=MaterialParams(Ms=1.0, gamma=1.0), h_ext=h_ext)
-        )
-        phi_b, _ = driver.initial_guess_phi(
+        ))
+        phi_b, _ = driver.initial_guess_phi(driver.Problem(
             FhdConfig(n=6, params=MaterialParams(Ms=3.0, gamma=2.0), h_ext=h_ext)
-        )
+        ))
         assert np.array_equal(phi_a.coeffs, phi_b.coeffs)
         assert np.abs(phi_a.coeffs).max() > 0
 
@@ -69,53 +69,49 @@ class TestInitialGuesses:
         # sweeps then contract it below the discretization error
         gaps = []
         for n in (8, 16):
-            cfg = make_cfg(n=n, picard_iters=6)
-            setup = driver._Setup(cfg)
-            phi0, _ = driver.initial_guess_phi(cfg, _setup=setup)
-            phi, _ = driver.picard_elliptic(cfg, _setup=setup)
-            gaps.append(setup.grad_norm_phi(phi0.coeffs - phi.coeffs))
+            prob = driver.Problem(make_cfg(n=n, picard_iters=6))
+            phi0, _ = driver.initial_guess_phi(prob)
+            phi, _ = driver.picard_elliptic(prob)
+            gaps.append(prob.grad_norm_phi(phi0.coeffs - phi.coeffs))
         assert all(g < 0.06 for g in gaps)
         assert abs(gaps[1] - gaps[0]) < 0.2 * gaps[0]  # level-independent limit
 
     def test_stokes_guess_zero_force(self):
         cfg = FhdConfig(n=4, h_ext=zero_external)
-        u, p, rep = driver.initial_guess_velocity(cfg)
+        u, p, rep = driver.initial_guess_velocity(driver.Problem(cfg))
         assert np.abs(u.coeffs).max() == 0.0
         assert np.abs(p.coeffs).max() == 0.0
 
     def test_stokes_guess_divergence_orthogonal_and_mean_free(self):
-        cfg = make_cfg(n=8)
-        setup = driver._Setup(cfg)
-        u, p, rep = driver.initial_guess_velocity(cfg, _setup=setup)
-        div = setup.saddle.B @ u.coeffs
+        prob = driver.Problem(make_cfg(n=8))
+        u, p, rep = driver.initial_guess_velocity(prob)
+        div = prob.saddle.B @ u.coeffs
         assert np.abs(div).max() < 1e-10
-        assert abs(setup.saddle.mean @ p.coeffs) < 1e-12 * max(np.abs(p.coeffs).max(), 1)
+        assert abs(prob.saddle.mean @ p.coeffs) < 1e-12 * max(np.abs(p.coeffs).max(), 1)
 
 
 class TestPicard:
     def test_zero_rhs_fixed_point(self):
         cfg = FhdConfig(n=4, h_ext=zero_external, picard_iters=3)
-        phi, info = driver.picard_elliptic(cfg)
+        phi, info = driver.picard_elliptic(driver.Problem(cfg))
         assert np.abs(phi.coeffs).max() == 0.0
 
     def test_converges_to_nonlinear_solution(self):
         # tolerance mode: the nonlinear residual vanishes at stagnation
         cfg = make_cfg(n=8, picard_iters=30, picard_tol=1e-12)
-        setup = driver._Setup(cfg)
-        phi, info = driver.picard_elliptic(cfg, _setup=setup)
-        a = assembly.assemble_weighted_stiffness(setup.S, phi, cfg.params, cfg.quad_bump)
-        res = (setup.rhs_phi - a @ phi.coeffs)[setup.S.free_mask]
+        prob = driver.Problem(cfg)
+        phi, info = driver.picard_elliptic(prob)
+        a = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.params, cfg.quad_bump)
+        res = (prob.rhs_phi - a @ phi.coeffs)[prob.S.free_mask]
         assert np.linalg.norm(res) <= 1e-9
         assert info["updates"][-1] < 1e-12
 
     def test_two_sweeps_close_to_six(self):
-        cfg2 = make_cfg(n=16)
-        cfg6 = make_cfg(n=16, picard_iters=6)
-        setup = driver._Setup(cfg2)
-        phi2, _ = driver.picard_elliptic(cfg2, _setup=setup)
-        phi6, _ = driver.picard_elliptic(cfg6, _setup=setup)
+        phi2, _ = driver.picard_elliptic(driver.Problem(make_cfg(n=16)))
+        prob6 = driver.Problem(make_cfg(n=16, picard_iters=6))
+        phi6, _ = driver.picard_elliptic(prob6)
         err, _ = verify.field_error(phi6, CASE.grad_phi, "grad")
-        gap = setup.grad_norm_phi(phi2.coeffs - phi6.coeffs)
+        gap = prob6.grad_norm_phi(phi2.coeffs - phi6.coeffs)
         assert gap <= 0.05 * err
 
     def test_external_mode_stability_bound(self):
@@ -128,11 +124,10 @@ class TestPicard:
                 axis=1,
             )
 
-        cfg = FhdConfig(n=8, params=prm, h_ext=h_ext, picard_iters=4)
-        setup = driver._Setup(cfg)
-        phi, _ = driver.picard_elliptic(cfg, _setup=setup)
-        he_norm = verify.field_error(setup.U.zero_field(), h_ext)[1]
-        assert setup.grad_norm_phi(phi.coeffs) <= he_norm / prm.mu0 * (1 + 1e-10)
+        prob = driver.Problem(FhdConfig(n=8, params=prm, h_ext=h_ext, picard_iters=4))
+        phi, _ = driver.picard_elliptic(prob)
+        he_norm = verify.field_error(prob.U.zero_field(), h_ext)[1]
+        assert prob.grad_norm_phi(phi.coeffs) <= he_norm / prm.mu0 * (1 + 1e-10)
 
 
 def _count_splu(monkeypatch):
@@ -174,12 +169,12 @@ class TestFactorReuse:
         cfg = FhdConfig(
             n=16, pair="l1", params=params, case=verify.case_2d_l1(), picard_iters=8
         )
-        phi_cg, info_cg = driver.picard_elliptic(cfg)
+        phi_cg, info_cg = driver.picard_elliptic(driver.Problem(cfg))
         real = driver.linalg.solve_spd
         monkeypatch.setattr(
             driver.linalg, "solve_spd", lambda a, b, precond=None, x0=None: real(a, b)
         )
-        phi_lu, info_lu = driver.picard_elliptic(cfg)
+        phi_lu, info_lu = driver.picard_elliptic(driver.Problem(cfg))
         assert all(r.iterations == 0 for r in info_lu["reports"])
         assert info_cg["updates"] == pytest.approx(info_lu["updates"], rel=1e-8)
         scale = np.abs(phi_lu.coeffs).max()
@@ -188,7 +183,7 @@ class TestFactorReuse:
     def test_strong_nonlinearity_stays_under_cap(self, monkeypatch):
         cfg = make_cfg(n=16, params=MaterialParams(gamma=100.0, Ms=10.0), picard_iters=8)
         calls = _count_splu(monkeypatch)
-        _, info = driver.picard_elliptic(cfg)
+        _, info = driver.picard_elliptic(driver.Problem(cfg))
         counts = [r.iterations for r in info["reports"][1:]]
         assert len(counts) == 8
         assert max(counts) < driver.linalg.CG_MAXITER
@@ -196,23 +191,22 @@ class TestFactorReuse:
 
     def test_cap_refactors_and_stays_ok(self, monkeypatch):
         cfg = make_cfg(n=8, picard_iters=3)
-        phi_ref, _ = driver.picard_elliptic(cfg)
+        phi_ref, _ = driver.picard_elliptic(driver.Problem(cfg))
         monkeypatch.setattr(driver.linalg, "CG_MAXITER", 1)
         calls = _count_splu(monkeypatch)
-        phi, info = driver.picard_elliptic(cfg)
+        phi, info = driver.picard_elliptic(driver.Problem(cfg))
         assert len(calls) > 1  # a sweep whose CG hit the cap factored its matrix
         assert all(r.status == "ok" for r in info["reports"])
         scale = np.abs(phi_ref.coeffs).max()
         assert np.abs(phi.coeffs - phi_ref.coeffs).max() <= 1e-9 * scale
 
-    def test_sweeps_on_shared_setup_reuse_the_seed_factor(self, monkeypatch):
+    def test_sweeps_on_shared_problem_reuse_the_seed_factor(self, monkeypatch):
         # the one-sweep-at-a-time pattern of verify.check_stability_bounds
-        cfg = make_cfg(n=8, picard_iters=1)
-        setup = driver._Setup(cfg)
+        prob = driver.Problem(make_cfg(n=8, picard_iters=1))
         calls = _count_splu(monkeypatch)
-        phi, _ = driver.initial_guess_phi(cfg, _setup=setup)
+        phi, _ = driver.initial_guess_phi(prob)
         for _ in range(3):
-            phi, info = driver.picard_elliptic(cfg, phi0=phi, _setup=setup)
+            phi, info = driver.picard_elliptic(prob, phi)
             assert info["reports"][0].iterations > 0
         assert len(calls) == 1
 
@@ -220,7 +214,7 @@ class TestFactorReuse:
 class TestOseen:
     def test_zero_force_zero_solution(self):
         cfg = FhdConfig(n=4, h_ext=zero_external, oseen_iters=2)
-        u, p, info = driver.oseen_ns(cfg)
+        u, p, info = driver.oseen_ns(driver.Problem(cfg))
         assert np.abs(u.coeffs).max() == 0.0
 
     def test_energy_identity_zero_bc(self):
@@ -229,20 +223,19 @@ class TestOseen:
 
         prm = MaterialParams(eta=0.5)
         cfg = FhdConfig(n=8, params=prm, h_ext=zero_external, body_force=f, oseen_iters=3)
-        setup = driver._Setup(cfg)
-        u, p, info = driver.oseen_ns(cfg, _setup=setup)
-        energy = prm.eta * setup.grad_norm_u(u.coeffs) ** 2
-        work = float(setup.rhs_u @ u.coeffs)
+        prob = driver.Problem(cfg)
+        u, p, info = driver.oseen_ns(prob)
+        energy = prm.eta * prob.grad_norm_u(u.coeffs) ** 2
+        work = float(prob.rhs_u @ u.coeffs)
         assert energy <= work * (1 + 1e-10)
         assert energy == pytest.approx(work, rel=1e-9)
 
     def test_iterates_divergence_orthogonal(self):
-        cfg = make_cfg(n=8, oseen_iters=3)
-        setup = driver._Setup(cfg)
-        u, p, info = driver.oseen_ns(cfg, _setup=setup)
+        prob = driver.Problem(make_cfg(n=8, oseen_iters=3))
+        u, p, info = driver.oseen_ns(prob)
         # (div u_h, q_h) = 0 for every pressure basis function (the full
         # field including the lifted boundary values is discretely solenoidal)
-        assert np.abs(setup.saddle.B @ u.coeffs).max() < 1e-10
+        assert np.abs(prob.saddle.B @ u.coeffs).max() < 1e-10
 
 
 class TestRecovery:
@@ -260,12 +253,10 @@ class TestRecovery:
     @pytest.mark.parametrize("pair", ["l0", "l1"])
     def test_mass_path_cross_validates_gradient_path(self, pair):
         case = CASE if pair == "l0" else verify.case_2d_l1()
-        sa = driver.solve_fhd(FhdConfig(n=8, pair=pair, case=case))
-        sb = driver.solve_fhd(
-            FhdConfig(n=8, pair=pair, case=case, recover_h_via_mass=True)
-        )
-        scale = np.abs(sa.H.coeffs).max()
-        assert np.abs(sa.H.coeffs - sb.H.coeffs).max() <= 1e-9 * scale
+        sol = driver.solve_fhd(FhdConfig(n=8, pair=pair, case=case))
+        h_mass = verify.project_gradient(sol.phi, sol.H.space)
+        scale = np.abs(sol.H.coeffs).max()
+        assert np.abs(sol.H.coeffs - h_mass.coeffs).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("pair", ["l0", "l1"])
     def test_mass_cg_counts_do_not_grow_with_n(self, pair):
@@ -343,9 +334,9 @@ class TestSolveFhd:
     def test_decoupled_chains_independent(self):
         cfg = make_cfg(n=8)
         sol = driver.solve_fhd(cfg)
-        setup = driver._Setup(cfg)
-        phi, _ = driver.picard_elliptic(cfg, _setup=setup)
-        u, p, _ = driver.oseen_ns(cfg, _setup=setup)
+        prob = driver.Problem(cfg)
+        phi, _ = driver.picard_elliptic(prob)
+        u, p, _ = driver.oseen_ns(prob)
         assert np.array_equal(sol.phi.coeffs, phi.coeffs)
         assert np.array_equal(sol.u.coeffs, u.coeffs)
         assert np.array_equal(sol.p_tilde.coeffs, p.coeffs)
@@ -357,15 +348,12 @@ class TestSolveFhd:
             assert np.array_equal(fa.coeffs, fb.coeffs)
 
     def test_galerkin_residual_of_last_sweep(self):
-        cfg = make_cfg(n=8)
-        setup = driver._Setup(cfg)
-        phi_prev, _ = driver.picard_elliptic(
-            FhdConfig(n=8, case=CASE, picard_iters=1), _setup=setup
-        )
-        sweep_cfg = FhdConfig(n=8, case=CASE, picard_iters=1)
-        phi, _ = driver.picard_elliptic(sweep_cfg, phi0=phi_prev, _setup=setup)
+        cfg = make_cfg(n=8, picard_iters=1)
+        prob = driver.Problem(cfg)
+        phi_prev, _ = driver.picard_elliptic(prob)
+        phi, _ = driver.picard_elliptic(prob, phi_prev)
         a = assembly.assemble_weighted_stiffness(
-            setup.S, phi_prev, cfg.params, cfg.quad_bump
+            prob.S, phi_prev, cfg.params, cfg.quad_bump
         )
-        res = (setup.rhs_phi - a @ phi.coeffs)[setup.S.free_mask]
-        assert np.linalg.norm(res) <= 1e-9 * max(np.linalg.norm(setup.rhs_phi), 1.0)
+        res = (prob.rhs_phi - a @ phi.coeffs)[prob.S.free_mask]
+        assert np.linalg.norm(res) <= 1e-9 * max(np.linalg.norm(prob.rhs_phi), 1.0)

@@ -188,7 +188,7 @@ class TestSchurSolve:
         prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
         case = verify.ManufacturedCase(**{**verify.case_2d_l1().__dict__, "params": prm})
         cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=1)
-        _, _, info = driver.oseen_ns(cfg)
+        _, _, info = driver.oseen_ns(driver.Problem(cfg))
         assert [r.status for r in info["reports"]] == ["ok", "ok"]
 
     def test_warm_start_from_solution_takes_no_iterations(self):
@@ -214,7 +214,7 @@ class TestSchurSolve:
         prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
         case = verify.ManufacturedCase(**{**verify.case_2d_l1().__dict__, "params": prm})
         cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=6)
-        _, _, info = driver.oseen_ns(cfg)
+        _, _, info = driver.oseen_ns(driver.Problem(cfg))
         sweeps = info["reports"][1:]
         assert len(sweeps) == 6
         assert sum(r.iterations for r in sweeps) <= 150
@@ -222,7 +222,7 @@ class TestSchurSolve:
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_l0_stokes_iterations_bounded_in_n(self, n):
         cfg = FhdConfig(n=n, pair="l0", case=verify.case_2d_l0())
-        _, _, rep = driver.initial_guess_velocity(cfg)
+        _, _, rep = driver.initial_guess_velocity(driver.Problem(cfg))
         assert rep.status == "ok"
         assert 0 < rep.iterations <= 40
 

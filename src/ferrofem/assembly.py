@@ -4,9 +4,16 @@ All kernels are vectorized over elements: local matrices are computed for
 the whole mesh in one einsum batch and scattered through COO -> CSR, which
 sums duplicates deterministically. Sparse storage is scipy CSR throughout.
 
-Quadrature policy: terms with polynomial integrands use a rule exact for
-the integrand; terms carrying the non-polynomial Langevin coefficients use
-the polynomial part's degree plus a configurable bump (default +2).
+Quadrature policy, decided here alone: terms with polynomial integrands
+use a rule exact for the integrand; terms carrying the non-polynomial
+Langevin coefficients or pointwise data add ``quad_bump`` (default +2,
+at most :func:`max_quad_bump`) to the polynomial part's degree. Mass
+matrices and projection loads share one degree per space, a load taking
+that of the space its data lives on.
+
+Load data is a callable on (n, 2) physical points or a pair
+``(field, transform)``: the field's point values (a scalar field's
+gradient), mapped by ``transform`` unless it is None.
 """
 
 from __future__ import annotations
@@ -20,12 +27,43 @@ from . import fespace, material, refelem
 from .fespace import FEField, FESpace
 from .material import MaterialParams
 
-# polynomial degree of each scalar/vector family
-_POLY_DEG = {"P0": 0, "P1": 1, "P2": 2, "CR": 1, "NE0": 1, "NE1": 1}
+# polynomial degree of each scalar family; an edge family counts as the
+# potential space whose gradients it holds (P1 -> NE0, P2 -> NE1)
+_POLY_DEG = {"P0": 0, "P1": 1, "P2": 2, "CR": 1, "NE0": 1, "NE1": 2}
 
 
-def _poly_deg(space: FESpace) -> int:
-    return _POLY_DEG[space.family]
+def _l2_degree(space: FESpace, quad_bump: int = 0) -> int:
+    """Rule degree of L2 products on ``space``: its mass degree plus ``quad_bump``."""
+    return min(refelem.MAX_DEGREE, max(1, 2 * _POLY_DEG[space.family] + quad_bump))
+
+
+def max_quad_bump(family: str) -> int:
+    """Largest ``quad_bump`` the stocked rules allow for a potential ``family``.
+
+    The nonlinear stiffness integrates at degree 2(k-1) + quad_bump for
+    potential degree k, and no stocked rule goes beyond ``MAX_DEGREE``.
+    """
+    return refelem.MAX_DEGREE - 2 * (_POLY_DEG[family] - 1)
+
+
+def _source(src, mesh, rule) -> np.ndarray:
+    """Load data at the rule's points of every element, shape (nt, nq, ...)."""
+    if isinstance(src, tuple):
+        field, transform = src
+        values, derived = fespace.eval_field(field, fespace.tabulate(field.space, rule))
+        # a scalar field contributes through its gradient (the magnetic
+        # field of a potential), any other field by value
+        scalar = not field.space.is_edge_family and field.space.components == 1
+        vals = derived if scalar else values
+        return vals if transform is None else transform(vals)
+    vals = np.asarray(src(fespace.quad_points(mesh, rule).reshape(-1, 2)))
+    return vals.reshape((mesh.n_triangles, rule.n_points) + vals.shape[1:])
+
+
+def _load_rule(space: FESpace, src, quad_bump: int):
+    """Rule of a projection load onto ``space``, set by the space of its data."""
+    data_space = src[0].space if isinstance(src, tuple) else space
+    return refelem.quadrature(_l2_degree(data_space, quad_bump))
 
 
 def _scatter_matrix(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
@@ -55,27 +93,22 @@ def assemble_weighted_stiffness(
 
     ``w`` selects the coefficient: ``None`` gives alpha == 1 (the plain
     Laplace matrix), an :class:`FEField` on ``space`` freezes the previous
-    Picard iterate, and a callable ``w(points) -> (n, 2)`` supplies an exact
-    gradient field. The matrix is symmetric and positive definite on the
+    Picard iterate. The matrix is symmetric and positive definite on the
     free dofs.
     """
     if space.components != 1 or space.is_edge_family:
         raise ValueError("weighted stiffness expects a scalar Lagrange space")
-    deg = max(1, 2 * (_poly_deg(space) - 1) + (0 if w is None else quad_bump))
+    deg = max(1, 2 * (_POLY_DEG[space.family] - 1) + (0 if w is None else quad_bump))
     rule = refelem.quadrature(deg)
     tab = fespace.tabulate(space, rule)
     mesh = space.mesh
 
     if w is None:
         coeff = 1.0
-    elif isinstance(w, FEField):
+    else:
         if w.space is not space:
             raise ValueError("Picard iterate must live on the assembly space")
         _, gw = fespace.eval_field(w, tab)
-        coeff = material.alpha(np.sqrt((gw * gw).sum(axis=-1)), params)
-    else:
-        gw = np.asarray(w(fespace.quad_points(mesh, rule).reshape(-1, 2)))
-        gw = gw.reshape(mesh.n_triangles, rule.n_points, 2)
         coeff = material.alpha(np.sqrt((gw * gw).sum(axis=-1)), params)
 
     wdx = _dx(mesh, rule) * coeff
@@ -93,12 +126,11 @@ def elliptic_rhs_manufactured(
     by integration by parts, so no symbolic divergence of the nonlinear flux
     is ever needed.
     """
-    deg = min(refelem.MAX_DEGREE, 3 + (_poly_deg(space) - 1) + quad_bump)
+    deg = min(refelem.MAX_DEGREE, 3 + (_POLY_DEG[space.family] - 1) + quad_bump)
     rule = refelem.quadrature(deg)
     tab = fespace.tabulate(space, rule)
     mesh = space.mesh
-    xq = fespace.quad_points(mesh, rule)
-    g = np.asarray(grad_phi(xq.reshape(-1, 2))).reshape(mesh.n_triangles, rule.n_points, 2)
+    g = _source(grad_phi, mesh, rule)
     a = material.alpha(np.sqrt((g * g).sum(axis=-1)), params)
     flux = (a * _dx(mesh, rule))[:, :, None] * g
     local = np.einsum("tqa,tqia->ti", flux, tab.gradients, optimize=True)
@@ -109,13 +141,11 @@ def elliptic_rhs_external(
     space: FESpace, h_ext, params: MaterialParams, quad_bump: int = 2
 ) -> np.ndarray:
     """Load vector tau -> (1/mu0) int H_e . grad(tau) for an applied field."""
-    deg = min(refelem.MAX_DEGREE, 3 + (_poly_deg(space) - 1) + quad_bump)
+    deg = min(refelem.MAX_DEGREE, 3 + (_POLY_DEG[space.family] - 1) + quad_bump)
     rule = refelem.quadrature(deg)
     tab = fespace.tabulate(space, rule)
     mesh = space.mesh
-    xq = fespace.quad_points(mesh, rule)
-    he = np.asarray(h_ext(xq.reshape(-1, 2))).reshape(mesh.n_triangles, rule.n_points, 2)
-    flux = _dx(mesh, rule)[:, :, None] * he / params.mu0
+    flux = _dx(mesh, rule)[:, :, None] * _source(h_ext, mesh, rule) / params.mu0
     local = np.einsum("tqa,tqia->ti", flux, tab.gradients, optimize=True)
     return _scatter_vector(local, space.cell_dofs, space.n_dofs)
 
@@ -125,14 +155,9 @@ def elliptic_rhs_external(
 # ---------------------------------------------------------------------------
 
 
-def _edge_quad_degree(space: FESpace, nonlinear: bool, quad_bump: int) -> int:
-    base = 2 if space.family == "NE0" else 4
-    return min(refelem.MAX_DEGREE, base + (quad_bump if nonlinear else 0))
-
-
-def assemble_edge_mass(space: FESpace, quad_bump: int = 2) -> sp.csr_matrix:
+def assemble_edge_mass(space: FESpace) -> sp.csr_matrix:
     """L2 mass matrix of an edge space over all dofs (no boundary removal)."""
-    rule = refelem.quadrature(_edge_quad_degree(space, False, quad_bump))
+    rule = refelem.quadrature(_l2_degree(space))
     tab = fespace.tabulate(space, rule)
     mesh = space.mesh
     local = np.einsum(
@@ -142,37 +167,22 @@ def assemble_edge_mass(space: FESpace, quad_bump: int = 2) -> sp.csr_matrix:
     return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
 
 
-def assemble_edge_rhs(space: FESpace, v, quad_bump: int = 2) -> np.ndarray:
+def assemble_edge_rhs(space: FESpace, src, quad_bump: int = 2) -> np.ndarray:
     """Load vector F -> int v . F for the edge-space L2 projections.
 
-    ``v`` is a callable on points, or a pair ``(field, transform)`` with
-    ``field`` an edge FEField and ``transform`` mapping its point values
-    (e.g. the magnetization law applied to the recovered magnetic field).
+    ``src`` gives the vector data ``v`` (see the module docstring), e.g. the
+    magnetization law applied to the recovered magnetic field.
     """
-    rule = refelem.quadrature(_edge_quad_degree(space, True, quad_bump))
+    rule = _load_rule(space, src, quad_bump)
     tab = fespace.tabulate(space, rule)
-    mesh = space.mesh
-    if isinstance(v, (tuple, FEField)):
-        src, transform = v if isinstance(v, tuple) else (v, None)
-        values, derived = fespace.eval_field(src, fespace.tabulate(src.space, rule))
-        # scalar sources contribute through their gradient (recovery of the
-        # magnetic field from the potential), edge sources by value
-        scalar_src = not src.space.is_edge_family and src.space.components == 1
-        vals = derived if scalar_src else values
-        if transform is not None:
-            vals = transform(vals)
-    else:
-        xq = fespace.quad_points(mesh, rule)
-        vals = np.asarray(v(xq.reshape(-1, 2))).reshape(mesh.n_triangles, rule.n_points, 2)
-    vals = vals * _dx(mesh, rule)[:, :, None]
+    vals = _source(src, space.mesh, rule) * _dx(space.mesh, rule)[:, :, None]
     local = np.einsum("tqa,tqia->ti", vals, tab.vec_values, optimize=True)
     return _scatter_vector(local, space.cell_dofs, space.n_dofs)
 
 
-def assemble_scalar_mass(space: FESpace, quad_bump: int = 0) -> sp.csr_matrix:
+def assemble_scalar_mass(space: FESpace) -> sp.csr_matrix:
     """L2 mass matrix of a scalar space (one component)."""
-    deg = max(1, 2 * _poly_deg(space) + quad_bump)
-    rule = refelem.quadrature(deg)
+    rule = refelem.quadrature(_l2_degree(space))
     tab = fespace.tabulate(space, rule)
     mesh = space.mesh
     wphi = _dx(mesh, rule)[:, :, None] * tab.values.T[None, :, :]
@@ -181,23 +191,16 @@ def assemble_scalar_mass(space: FESpace, quad_bump: int = 0) -> sp.csr_matrix:
     return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
 
 
-def assemble_scalar_rhs(space: FESpace, vals_or_fn, quad_deg: int) -> np.ndarray:
+def assemble_scalar_rhs(space: FESpace, src, quad_bump: int = 2) -> np.ndarray:
     """Load vector chi -> int f chi against a scalar space.
 
-    ``vals_or_fn`` is a callable on points or a precomputed (nt, nq) array
-    matching the rule of degree ``quad_deg``.
+    ``src`` gives the scalar data ``f`` (see the module docstring), e.g. the
+    pressure potential beta(|H|) of the recovered magnetic field.
     """
-    rule = refelem.quadrature(quad_deg)
+    rule = _load_rule(space, src, quad_bump)
     tab = fespace.tabulate(space, rule)
-    mesh = space.mesh
-    if callable(vals_or_fn):
-        xq = fespace.quad_points(mesh, rule)
-        vals = np.asarray(vals_or_fn(xq.reshape(-1, 2))).reshape(
-            mesh.n_triangles, rule.n_points
-        )
-    else:
-        vals = vals_or_fn
-    local = np.einsum("tq,iq->ti", vals * _dx(mesh, rule), tab.values, optimize=True)
+    vals = _source(src, space.mesh, rule) * _dx(space.mesh, rule)
+    local = np.einsum("tq,iq->ti", vals, tab.values, optimize=True)
     return _scatter_vector(local, space.cell_dofs, space.n_scalar)
 
 
@@ -315,20 +318,17 @@ def assemble_convection(v_space: FESpace, w_field: FEField, rho: float) -> sp.cs
     return sp.block_diag([c_skew, c_skew], format="csr")
 
 
-def assemble_ns_rhs(v_space: FESpace, f, quad_deg: int | None = None) -> np.ndarray:
+def assemble_ns_rhs(v_space: FESpace, f) -> np.ndarray:
     """Load vector v -> int f . v with f evaluated pointwise.
 
-    ``f`` maps (n, 2) points to (n, 2) force values; the default rule adds
-    two degrees over the pair's polynomial terms to resolve smooth data.
+    ``f`` maps (n, 2) points to (n, 2) force values; the rule adds two
+    degrees over the pair's polynomial terms to resolve smooth data.
     """
-    if quad_deg is None:
-        quad_deg = min(refelem.MAX_DEGREE, _stokes_quad_degree(v_space.family) + 2)
-    rule = refelem.quadrature(quad_deg)
+    deg = min(refelem.MAX_DEGREE, _stokes_quad_degree(v_space.family) + 2)
+    rule = refelem.quadrature(deg)
     tab = fespace.tabulate(v_space, rule)
     mesh = v_space.mesh
-    xq = fespace.quad_points(mesh, rule)
-    fv = np.asarray(f(xq.reshape(-1, 2))).reshape(mesh.n_triangles, rule.n_points, 2)
-    fv = fv * _dx(mesh, rule)[:, :, None]
+    fv = _source(f, mesh, rule) * _dx(mesh, rule)[:, :, None]
     ns = v_space.n_scalar
     out = np.empty(2 * ns)
     for c in range(2):

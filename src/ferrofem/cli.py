@@ -20,7 +20,7 @@ import resource
 import sys
 from dataclasses import dataclass
 
-from . import driver, verify
+from . import assembly, driver, verify
 from .material import MaterialParams
 
 DEFAULT_LEVELS = (4, 8, 16, 32, 64, 128)
@@ -52,18 +52,8 @@ class RunConfig:
     out_json: str = "study.json"
 
     def material_params(self) -> MaterialParams:
-        gamma = self.gamma
-        chi0 = self.chi0
-        if gamma is None and chi0 is None:
-            gamma = 1.0
-        if gamma is None:
-            if not self.Ms > 0.0:  # checked here, before it divides
-                raise ValueError(f"Ms must be strictly positive, got {self.Ms}")
-            gamma = 3.0 * chi0 / self.Ms
-        kwargs = dict(mu0=self.mu0, Ms=self.Ms, gamma=gamma, rho=self.rho, eta=self.eta)
-        if chi0 is not None:
-            kwargs["chi0"] = chi0
-        return MaterialParams(**kwargs)
+        return MaterialParams(mu0=self.mu0, Ms=self.Ms, gamma=self.gamma, chi0=self.chi0,
+                              rho=self.rho, eta=self.eta)
 
 
 def _parse_levels(text: str):
@@ -132,7 +122,7 @@ def parse_config(text: str) -> RunConfig:
         key_line[key] = lineno
     if cfg.pair not in ("l0", "l1"):
         raise ConfigError(f"pair must be 'l0' or 'l1', got {cfg.pair!r}")
-    max_bump = driver.max_quad_bump(cfg.pair)
+    max_bump = assembly.max_quad_bump(driver.PAIRS[cfg.pair][0])
     if not 0 <= cfg.quad_bump <= max_bump:
         raise ConfigError(
             f"line {key_line['quad_bump']}: quad_bump must be in [0, {max_bump}] "

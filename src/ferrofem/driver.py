@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import assembly, fespace, linalg, material, mesh2d, refelem
+from . import assembly, fespace, linalg, material, mesh2d
 from .fespace import FEField
 from .material import MaterialParams
 
@@ -40,16 +40,6 @@ PAIRS = {
     "l0": ("P1", "NE0", "CR", "P0"),
     "l1": ("P2", "NE1", "P2", "P1"),
 }
-
-
-def max_quad_bump(pair: str) -> int:
-    """Largest ``quad_bump`` the stocked quadrature rules allow for ``pair``.
-
-    The nonlinear stiffness integrates at degree 2(k-1) + quad_bump for
-    potential degree k, and no stocked rule goes beyond ``MAX_DEGREE``.
-    """
-    k = assembly._POLY_DEG[PAIRS[pair][0]]
-    return refelem.MAX_DEGREE - 2 * (k - 1)
 
 
 @dataclass
@@ -77,7 +67,7 @@ class FhdConfig:
     def __post_init__(self):
         if self.pair not in PAIRS:
             raise ValueError(f"unknown element pair {self.pair!r}")
-        max_bump = max_quad_bump(self.pair)
+        max_bump = assembly.max_quad_bump(PAIRS[self.pair][0])
         if not 0 <= self.quad_bump <= max_bump:
             raise ValueError(
                 f"quad_bump must be in [0, {max_bump}] for pair {self.pair!r}, "
@@ -233,9 +223,10 @@ def recover_fields(
 ) -> FhdSolution:
     """Steps 3-5: magnetic field, magnetization, pressure potential, pressure.
 
-    H rides the coefficient identity H = G phi (exactly curl-free). Every
-    mass matrix is solved by Jacobi-preconditioned CG; the stage factors
-    nothing.
+    H rides the coefficient identity H = G phi (exactly curl-free). M and psi
+    are L2 projections of M(H) and beta(|H|), whose loads and quadrature
+    come from :mod:`assembly`. Every mass matrix is solved by Jacobi-
+    preconditioned CG; the stage factors nothing.
     """
     cfg = prob.cfg
     params = cfg.params
@@ -243,18 +234,18 @@ def recover_fields(
 
     H = FEField(prob.U, prob.G @ phi.coeffs)
 
-    mass_u = assembly.assemble_edge_mass(prob.U, cfg.quad_bump)
+    mass_u = assembly.assemble_edge_mass(prob.U)
     rhs_m = assembly.assemble_edge_rhs(
         prob.U, (H, lambda vals: material.magnetization(vals, params)), cfg.quad_bump
     )
     m_coeffs, reports["M"] = linalg.solve_spd(mass_u, rhs_m, "jacobi")
     M = FEField(prob.U, m_coeffs)
 
-    psi_deg = assembly._edge_quad_degree(prob.U, True, cfg.quad_bump)
-    rule = refelem.quadrature(psi_deg)
-    hvals, _ = fespace.eval_field(H, fespace.tabulate(prob.U, rule))
-    beta_vals = material.beta(np.sqrt((hvals * hvals).sum(axis=-1)), params)
-    rhs_psi = assembly.assemble_scalar_rhs(prob.W, beta_vals, psi_deg)
+    rhs_psi = assembly.assemble_scalar_rhs(
+        prob.W,
+        (H, lambda vals: material.beta(np.sqrt((vals * vals).sum(axis=-1)), params)),
+        cfg.quad_bump,
+    )
     mass_w = assembly.assemble_scalar_mass(prob.W)
     psi_coeffs, reports["psi"] = linalg.solve_spd(mass_w, rhs_psi, "jacobi")
     psi = FEField(prob.W, psi_coeffs)
@@ -266,11 +257,8 @@ def recover_fields(
 
     B = FEField(prob.U, params.mu0 * (H.coeffs + M.coeffs))
 
-    curl_rule = refelem.quadrature(1)
-    _, curls = fespace.eval_field(H, fespace.tabulate(prob.U, curl_rule))
     diagnostics = {
         "recovery_reports": reports,
-        "curl_h_inf": float(np.abs(curls).max()),
         "grad_phi_norm": prob.grad_norm_phi(phi.coeffs),
         "grad_u_norm": prob.grad_norm_u(u.coeffs),
     }
@@ -292,10 +280,19 @@ class StageError(RuntimeError):
 def solve_fhd(cfg: FhdConfig) -> FhdSolution:
     """Run the full five-step decoupled solve for one configuration.
 
+    Load vectors without a finite 2-norm (overflowing material constants)
+    stop the solve in stage ``setup``, before any solver sees them.
     ``diagnostics["timings"]`` holds the wall time of the potential, flow and
     recovery stages (``picard_s``, ``flow_s``, ``recovery_s``, seconds).
     """
     prob = Problem(cfg)
+    # every solver measures its residual against the load's 2-norm
+    for name in ("rhs_phi", "rhs_u"):
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(getattr(prob, name))
+        if not np.isfinite(norm):
+            cause = ValueError(f"load vector {name} is not finite (2-norm {norm})")
+            raise StageError("setup", cause)
     t0 = time.perf_counter()
     try:
         u, p_tilde, ns_info = oseen_ns(prob)

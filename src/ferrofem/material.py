@@ -30,17 +30,25 @@ class MaterialParams:
     """Physical constants of the model.
 
     ``gamma`` is tied to the initial susceptibility by gamma = 3*chi0/Ms;
-    give either ``chi0`` or ``gamma`` (or consistent values of both).
+    give either ``chi0`` or ``gamma`` (or consistent values of both). With
+    neither, gamma = 1.
     """
 
     mu0: float = 1.0
     Ms: float = 1.0
-    gamma: float = 1.0
+    gamma: float = field(default=None)  # type: ignore[assignment]
     chi0: float = field(default=None)  # type: ignore[assignment]
     rho: float = 1.0
     eta: float = 1.0
 
     def __post_init__(self):
+        if self.gamma is None:
+            gamma = 1.0
+            if self.chi0 is not None:
+                if not self.Ms > 0.0:  # checked here, before it divides
+                    raise ValueError(f"Ms must be strictly positive, got {self.Ms}")
+                gamma = 3.0 * self.chi0 / self.Ms
+            object.__setattr__(self, "gamma", gamma)
         if self.chi0 is None:
             object.__setattr__(self, "chi0", self.gamma * self.Ms / 3.0)
         for name in ("mu0", "Ms", "gamma", "chi0", "rho", "eta"):
@@ -52,10 +60,6 @@ class MaterialParams:
                 f"inconsistent parameters: gamma={self.gamma} but 3*chi0/Ms="
                 f"{3.0 * self.chi0 / self.Ms}"
             )
-
-    @classmethod
-    def from_chi0(cls, mu0=1.0, Ms=1.0, chi0=1.0 / 3.0, rho=1.0, eta=1.0):
-        return cls(mu0=mu0, Ms=Ms, gamma=3.0 * chi0 / Ms, chi0=chi0, rho=rho, eta=eta)
 
 
 def _check_nonnegative(x, name):
@@ -162,10 +166,10 @@ def magnetization(hvec, params: MaterialParams):
     return fac[..., None] * hvec
 
 
-def beta_prime_fd(x, params: MaterialParams, rel_step: float = 1e-6):
+def beta_prime_fd(x, params: MaterialParams):
     """Central finite-difference derivative of beta (diagnostic only)."""
     x = np.atleast_1d(_check_nonnegative(x, "field magnitude"))
-    h = rel_step * np.maximum(x, 1.0)
+    h = 1e-6 * np.maximum(x, 1.0)  # relative step
     lo = np.maximum(x - h, 0.0)
     return (beta(x + h, params) - beta(lo, params)) / (x + h - lo)
 

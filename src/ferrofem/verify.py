@@ -145,7 +145,7 @@ def case_2d_l0() -> ManufacturedCase:
     )
 
 
-def case_2d_l1(scale: float = 0.1) -> ManufacturedCase:
+def case_2d_l1() -> ManufacturedCase:
     """Smooth higher-order case: trigonometric potential, same flow family.
 
     The potential amplitude keeps |grad phi| of the same size as in the
@@ -154,6 +154,7 @@ def case_2d_l1(scale: float = 0.1) -> ManufacturedCase:
     """
     u, grad_u, lap_u, p, grad_p = _flow_fields()
     pi = np.pi
+    scale = 0.1  # potential amplitude
 
     def phi(pts):
         return scale * np.sin(pi * pts[:, 0]) * np.sin(pi * pts[:, 1])
@@ -378,7 +379,7 @@ def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> Study
         n=n,
         h=mesh2d.mesh_size(sol.phi.space.mesh),
         errors=errors,
-        curl_inf=sol.diagnostics["curl_h_inf"],
+        curl_inf=curl_inf(sol.H),
         diagnostics={
             "grad_phi_norm": sol.diagnostics["grad_phi_norm"],
             "grad_u_norm": sol.diagnostics["grad_u_norm"],
@@ -482,12 +483,15 @@ def _result(name, passed, detail):
     return PropertyResult(name, bool(passed), detail)
 
 
-def check_material_bounds(params=None, n_samples: int = 1000,
-                          alpha_fn=None) -> list:
-    """Langevin-coefficient bounds: 1 < alpha <= 1 + gamma*Ms/3, 0 < beta' <= Ms."""
-    params = params or MaterialParams()
+def check_material_bounds(alpha_fn=None) -> list:
+    """Langevin-coefficient bounds: 1 < alpha <= 1 + gamma*Ms/3, 0 < beta' <= Ms.
+
+    ``alpha_fn`` substitutes the diffusion coefficient for negative-control
+    tests.
+    """
+    params = MaterialParams()
     alpha_fn = alpha_fn or material.alpha
-    xs = np.logspace(-12, 6, n_samples)
+    xs = np.logspace(-12, 6, 1000)
     a = alpha_fn(xs, params)
     upper = 1.0 + params.gamma * params.Ms / 3.0
     res = [
@@ -513,9 +517,8 @@ def check_material_bounds(params=None, n_samples: int = 1000,
     return res
 
 
-def check_branch_crossovers(params=None) -> list:
+def check_branch_crossovers() -> list:
     """Series and closed-form branches agree near both switch thresholds."""
-    params = params or MaterialParams()
     res = []
     ys = np.linspace(0.5e-2, 2e-2, 41)
     series = ys / 3.0 - ys**3 / 45.0 + 2.0 * ys**5 / 945.0
@@ -602,7 +605,7 @@ def check_convection_skew(seed: int = 42, n: int = 8, n_triples: int = 100) -> l
 def project_gradient(phi: FEField, edge_space: fespace.FESpace) -> FEField:
     """Edge-mass L2 projection of grad(phi) by Jacobi CG (the mass route to H)."""
     mass = assembly.assemble_edge_mass(edge_space)
-    rhs = assembly.assemble_edge_rhs(edge_space, phi)
+    rhs = assembly.assemble_edge_rhs(edge_space, (phi, None))
     coeffs, _ = linalg.solve_spd(mass, rhs, "jacobi")
     return FEField(edge_space, coeffs)
 
@@ -772,15 +775,10 @@ def check_cr_kernel(n: int = 4) -> list:
     ]
 
 
-def run_property_battery(seed: int = 42, quick: bool = False,
-                         alpha_fn=None) -> list:
-    """The full invariant battery; each entry prints one pass/fail line.
-
-    ``alpha_fn`` substitutes the diffusion coefficient for negative-control
-    tests.
-    """
+def run_property_battery(seed: int = 42, quick: bool = False) -> list:
+    """The full invariant battery; each entry prints one pass/fail line."""
     results = []
-    results += check_material_bounds(alpha_fn=alpha_fn)
+    results += check_material_bounds()
     results += check_branch_crossovers()
     results += check_form_bounds(seed, n=4 if quick else 8, n_fields=10 if quick else 100)
     results += check_convection_skew(seed, n=4 if quick else 8, n_triples=20 if quick else 100)

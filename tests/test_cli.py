@@ -147,7 +147,7 @@ class TestCommands:
         assert "FAIL" not in out
 
     def test_check_reports_failures(self, capsys, monkeypatch):
-        def broken(seed=42, quick=False, alpha_fn=None):
+        def broken(seed=42, quick=False):
             return [verify.PropertyResult("alpha-bounds", False, "forced")]
 
         monkeypatch.setattr(verify, "run_property_battery", broken)
@@ -200,6 +200,18 @@ class TestMain:
         path.write_text(text)
         assert cli.main(["table", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, vector", [("Ms = 1e308\n", "rhs_phi"), ("mu0 = 1e308\n", "rhs_u")]
+    )
+    def test_overflowing_constants_fail_at_setup(self, tmp_path, capsys, text, vector):
+        # the load vectors' 2-norms overflow; no solver may report it as its own failure
+        path = tmp_path / "huge.cfg"
+        path.write_text("levels = 2,3\n" + text)
+        assert cli.main(["table", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"stage 'setup' failed: load vector {vector} is not finite" in err
+        assert "Traceback" not in err
 
     def test_zero_error_column_gets_no_order(self, tmp_path):
         # the exact M norm underflows, so err_M_l2 is exactly zero on both levels

@@ -1,0 +1,55 @@
+"""Package layout rules that no single module's tests can see."""
+
+import ast
+from pathlib import Path
+
+import ferrofem
+
+PACKAGE = Path(ferrofem.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _source_module(node: ast.ImportFrom):
+    """Package-relative module an import reads from: "" for the package, None if foreign."""
+    if node.level:
+        return node.module or ""
+    if node.module == "ferrofem" or (node.module or "").startswith("ferrofem."):
+        return node.module.removeprefix("ferrofem").lstrip(".")
+    return None
+
+
+def _cross_module_private_uses(path: Path) -> list:
+    """``module._name`` accesses and ``from .module import _name`` imports in one file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {}  # local name -> the package module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or _source_module(node) is None:
+            continue
+        source = _source_module(node)
+        for alias in node.names:
+            if not source:  # from . import module
+                modules[alias.asname or alias.name] = alias.name
+            elif _private(alias.name) and source != path.stem:
+                found.append(f"{path.name}:{node.lineno} imports {source}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and modules.get(node.value.id, path.stem) != path.stem
+                and _private(node.attr)):
+            found.append(f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}")
+    return found
+
+
+def test_modules_scanned():
+    assert {"assembly", "driver", "verify", "cli"} <= set(MODULES)
+
+
+def test_no_module_uses_another_modules_private_names():
+    # quadrature, for one, is decided in assembly alone: a module that needs
+    # a rule degree asks a public assembly function for the load vector
+    found = [use for stem in MODULES for use in _cross_module_private_uses(PACKAGE / f"{stem}.py")]
+    assert found == []

@@ -164,7 +164,7 @@ class TestBranchConsistency:
 
 class TestParams:
     def test_gamma_from_chi0(self):
-        prm = MaterialParams.from_chi0(Ms=2.0, chi0=1.0)
+        prm = MaterialParams(Ms=2.0, chi0=1.0)
         assert prm.gamma == pytest.approx(1.5)
 
     def test_default_chi0_derived(self):

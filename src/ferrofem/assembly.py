@@ -1,8 +1,10 @@
 """Element-loop assembly of the variational forms.
 
-All kernels are vectorized over elements: local matrices are computed for
-the whole mesh in one einsum batch and scattered through COO -> CSR, which
-sums duplicates deterministically. Sparse storage is scipy CSR throughout.
+All kernels are vectorized over elements and reference-first: per-point
+data is mapped to reference coordinates (J^-1 for vectors, det J^-1 J^-T for
+gradient products) and contracted with a reference basis table in one matrix
+product over all elements. Local matrices are scattered through COO -> CSR,
+which sums duplicates deterministically. Sparse storage is scipy CSR.
 
 Quadrature policy, decided here alone: terms with polynomial integrands
 use a rule exact for the integrand; terms carrying the non-polynomial
@@ -81,6 +83,37 @@ def _dx(mesh, rule):
     return rule.weights[None, :] * mesh.det[:, None]
 
 
+def _gram(space: FESpace, tab, table, coeff=None) -> sp.csr_matrix:
+    """Matrix of int coeff (J^-T t_i) . (J^-T t_j) over the scalar dofs of ``space``.
+
+    ``table`` (ndof, nq, 2) holds reference gradients or edge vectors. Without
+    a pointwise ``coeff`` (nt, nq) it is integrated once: (nt, 4) @ (4, ndof^2).
+    """
+    nt, ndof = tab.signs.shape
+    metric = tab.det[:, None, None] * (tab.jac_inv @ tab.jac_inv.transpose(0, 2, 1))
+    if coeff is None:
+        ref = np.einsum("q,iqb,jqc->bcij", tab.rule.weights, table, table)
+        w = metric
+    else:
+        ref = np.einsum("iqb,jqc->qbcij", table, table)
+        w = (coeff * tab.rule.weights)[:, :, None, None] * metric[:, None]
+    local = (w.reshape(nt, -1) @ ref.reshape(-1, ndof * ndof)).reshape(nt, ndof, ndof)
+    local *= tab.signs[:, :, None] * tab.signs[:, None, :]
+    n = space.n_scalar
+    return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
+
+
+def _pairing_load(space: FESpace, tab, table, data) -> np.ndarray:
+    """Load vector of int data . (J^-T t_i) for a (ndof, nq, 2) reference table.
+
+    ``data`` (nt, nq, 2) carries the measure; v . (J^-T g) = (J^-1 v) . g.
+    """
+    nt, ndof = tab.signs.shape
+    ref = (data @ tab.jac_inv.transpose(0, 2, 1)).reshape(nt, -1)
+    local = (ref @ table.transpose(1, 2, 0).reshape(-1, ndof)) * tab.signs
+    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
+
+
 # ---------------------------------------------------------------------------
 # scalar elliptic forms
 # ---------------------------------------------------------------------------
@@ -101,20 +134,21 @@ def assemble_weighted_stiffness(
     deg = max(1, 2 * (_POLY_DEG[space.family] - 1) + (0 if w is None else quad_bump))
     rule = refelem.quadrature(deg)
     tab = fespace.tabulate(space, rule)
-    mesh = space.mesh
-
-    if w is None:
-        coeff = 1.0
-    else:
+    coeff = None
+    if w is not None:
         if w.space is not space:
             raise ValueError("Picard iterate must live on the assembly space")
         _, gw = fespace.eval_field(w, tab)
         coeff = material.alpha(np.sqrt((gw * gw).sum(axis=-1)), params)
+    return _gram(space, tab, tab.grads, coeff)
 
-    wdx = _dx(mesh, rule) * coeff
-    local = np.einsum("tq,tqia,tqja->tij", wdx, tab.gradients, tab.gradients, optimize=True)
-    n = space.n_dofs
-    return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
+
+def _flux_load(space: FESpace, src, flux, quad_bump: int) -> np.ndarray:
+    """Load vector tau -> int flux(v) . grad(tau) for the vector data ``v`` of ``src``."""
+    rule = refelem.quadrature(min(refelem.MAX_DEGREE, 2 + _POLY_DEG[space.family] + quad_bump))
+    tab = fespace.tabulate(space, rule)
+    data = flux(_source(src, space.mesh, rule)) * _dx(space.mesh, rule)[:, :, None]
+    return _pairing_load(space, tab, tab.grads, data)
 
 
 def elliptic_rhs_manufactured(
@@ -126,28 +160,17 @@ def elliptic_rhs_manufactured(
     by integration by parts, so no symbolic divergence of the nonlinear flux
     is ever needed.
     """
-    deg = min(refelem.MAX_DEGREE, 3 + (_POLY_DEG[space.family] - 1) + quad_bump)
-    rule = refelem.quadrature(deg)
-    tab = fespace.tabulate(space, rule)
-    mesh = space.mesh
-    g = _source(grad_phi, mesh, rule)
-    a = material.alpha(np.sqrt((g * g).sum(axis=-1)), params)
-    flux = (a * _dx(mesh, rule))[:, :, None] * g
-    local = np.einsum("tqa,tqia->ti", flux, tab.gradients, optimize=True)
-    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
+    def flux(g):
+        return material.alpha(np.sqrt((g * g).sum(axis=-1)), params)[:, :, None] * g
+
+    return _flux_load(space, grad_phi, flux, quad_bump)
 
 
 def elliptic_rhs_external(
     space: FESpace, h_ext, params: MaterialParams, quad_bump: int = 2
 ) -> np.ndarray:
     """Load vector tau -> (1/mu0) int H_e . grad(tau) for an applied field."""
-    deg = min(refelem.MAX_DEGREE, 3 + (_POLY_DEG[space.family] - 1) + quad_bump)
-    rule = refelem.quadrature(deg)
-    tab = fespace.tabulate(space, rule)
-    mesh = space.mesh
-    flux = _dx(mesh, rule)[:, :, None] * _source(h_ext, mesh, rule) / params.mu0
-    local = np.einsum("tqa,tqia->ti", flux, tab.gradients, optimize=True)
-    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
+    return _flux_load(space, h_ext, lambda h: h / params.mu0, quad_bump)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +182,7 @@ def assemble_edge_mass(space: FESpace) -> sp.csr_matrix:
     """L2 mass matrix of an edge space over all dofs (no boundary removal)."""
     rule = refelem.quadrature(_l2_degree(space))
     tab = fespace.tabulate(space, rule)
-    mesh = space.mesh
-    local = np.einsum(
-        "tq,tqia,tqja->tij", _dx(mesh, rule), tab.vec_values, tab.vec_values, optimize=True
-    )
-    n = space.n_dofs
-    return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
+    return _gram(space, tab, tab.values)
 
 
 def assemble_edge_rhs(space: FESpace, src, quad_bump: int = 2) -> np.ndarray:
@@ -176,17 +194,14 @@ def assemble_edge_rhs(space: FESpace, src, quad_bump: int = 2) -> np.ndarray:
     rule = _load_rule(space, src, quad_bump)
     tab = fespace.tabulate(space, rule)
     vals = _source(src, space.mesh, rule) * _dx(space.mesh, rule)[:, :, None]
-    local = np.einsum("tqa,tqia->ti", vals, tab.vec_values, optimize=True)
-    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
+    return _pairing_load(space, tab, tab.values, vals)
 
 
 def assemble_scalar_mass(space: FESpace) -> sp.csr_matrix:
     """L2 mass matrix of a scalar space (one component)."""
     rule = refelem.quadrature(_l2_degree(space))
     tab = fespace.tabulate(space, rule)
-    mesh = space.mesh
-    wphi = _dx(mesh, rule)[:, :, None] * tab.values.T[None, :, :]
-    local = np.einsum("tqi,qj->tij", wphi, tab.values.T, optimize=True)
+    local = tab.det[:, None, None] * ((tab.values * rule.weights) @ tab.values.T)
     n = space.n_scalar
     return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
 
@@ -200,8 +215,7 @@ def assemble_scalar_rhs(space: FESpace, src, quad_bump: int = 2) -> np.ndarray:
     rule = _load_rule(space, src, quad_bump)
     tab = fespace.tabulate(space, rule)
     vals = _source(src, space.mesh, rule) * _dx(space.mesh, rule)
-    local = np.einsum("tq,iq->ti", vals, tab.values, optimize=True)
-    return _scatter_vector(local, space.cell_dofs, space.n_scalar)
+    return _scatter_vector(vals @ tab.values.T, space.cell_dofs, space.n_scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +271,25 @@ def assemble_stokes_blocks(
         raise ValueError(f"unsupported velocity/pressure pair {pair}")
     if v_space.mesh is not w_space.mesh:
         raise ValueError("velocity and pressure live on different meshes")
-    mesh = v_space.mesh
     rule = refelem.quadrature(_stokes_quad_degree(v_space.family))
     tabv = fespace.tabulate(v_space, rule)
     tabp = fespace.tabulate(w_space, rule)
-    wq = _dx(mesh, rule)
-
-    k_loc = np.einsum("tq,tqia,tqja->tij", wq, tabv.gradients, tabv.gradients, optimize=True)
-    ns = v_space.n_scalar
-    k_scal = _scatter_matrix(k_loc, v_space.cell_dofs, v_space.cell_dofs, (ns, ns))
+    k_scal = _gram(v_space, tabv, tabv.grads)
     a = eta * sp.block_diag([k_scal, k_scal], format="csr")
 
-    # B[q, v] = int q * dv/dx_c for component c
-    np_ = w_space.n_scalar
-    blocks = []
-    for c in range(2):
-        b_loc = np.einsum(
-            "tq,kq,tqi->tki", wq, tabp.values, tabv.gradients[:, :, :, c], optimize=True
-        )
-        blocks.append(
-            _scatter_matrix(b_loc, w_space.cell_dofs, v_space.cell_dofs, (np_, ns))
-        )
-    b = sp.hstack(blocks, format="csr")
+    # B[q, v] = int q dv/dx_c = det sum_b J^-1[b, c] int_ref q dv/dx_b, for
+    # component c in the column block of its dofs
+    nt, nv = v_space.cell_dofs.shape
+    npl = w_space.cell_dofs.shape[1]
+    ns, np_ = v_space.n_scalar, w_space.n_scalar
+    ref = np.einsum("q,kq,iqb->bki", rule.weights, tabp.values, tabv.grads)
+    dj = (tabv.det[:, None, None] * tabv.jac_inv).transpose(0, 2, 1)  # [t, c, b]
+    b_loc = (dj @ ref.reshape(2, -1)).reshape(nt, 2, npl, nv).transpose(0, 2, 1, 3)
+    cols = np.concatenate([v_space.cell_dofs, ns + v_space.cell_dofs], axis=1)
+    b = _scatter_matrix(b_loc.reshape(nt, npl, 2 * nv), w_space.cell_dofs, cols, (np_, 2 * ns))
 
-    mean = _scatter_vector(
-        np.einsum("tq,iq->ti", wq, tabp.values), w_space.cell_dofs, np_
-    )
+    mean_loc = np.outer(tabp.det, tabp.values @ rule.weights)
+    mean = _scatter_vector(mean_loc, w_space.cell_dofs, np_)
 
     n2 = 2 * ns
     return SaddleSystem(
@@ -308,10 +315,11 @@ def assemble_convection(v_space: FESpace, w_field: FEField, rho: float) -> sp.cs
     rule = refelem.quadrature(_stokes_quad_degree(v_space.family))
     tab = fespace.tabulate(v_space, rule)
     wvals, _ = fespace.eval_field(w_field, tab)
-    wq = _dx(mesh, rule)
-    # C_raw[i, j] = int (w . grad phi_j) phi_i
-    wg = np.einsum("tqa,tqja->tqj", wvals, tab.gradients, optimize=True)
-    c_loc = np.einsum("tq,iq,tqj->tij", wq, tab.values, wg, optimize=True)
+    # C_raw[i, j] = int (w . grad phi_j) phi_i = int (J^-1 w) . grad_ref(phi_j) phi_i
+    wref = (wvals @ tab.jac_inv.transpose(0, 2, 1)) * _dx(mesh, rule)[:, :, None]
+    nt, ndof = v_space.cell_dofs.shape
+    ref = np.einsum("iq,jqb->qbij", tab.values, tab.grads).reshape(-1, ndof * ndof)
+    c_loc = (wref.reshape(nt, -1) @ ref).reshape(nt, ndof, ndof)
     ns = v_space.n_scalar
     c_raw = _scatter_matrix(c_loc, v_space.cell_dofs, v_space.cell_dofs, (ns, ns))
     c_skew = 0.5 * rho * (c_raw - c_raw.T)
@@ -329,9 +337,6 @@ def assemble_ns_rhs(v_space: FESpace, f) -> np.ndarray:
     tab = fespace.tabulate(v_space, rule)
     mesh = v_space.mesh
     fv = _source(f, mesh, rule) * _dx(mesh, rule)[:, :, None]
-    ns = v_space.n_scalar
-    out = np.empty(2 * ns)
-    for c in range(2):
-        local = np.einsum("tq,iq->ti", fv[:, :, c], tab.values, optimize=True)
-        out[c * ns : (c + 1) * ns] = _scatter_vector(local, v_space.cell_dofs, ns)
-    return out
+    local = fv.transpose(2, 0, 1) @ tab.values.T  # (2, nt, ndof), one per component
+    dofs = v_space.cell_dofs
+    return _scatter_vector(local, np.stack([dofs, v_space.n_scalar + dofs]), v_space.n_dofs)

@@ -154,34 +154,30 @@ def quad_points(mesh: Mesh2D, rule: refelem.QuadratureRule) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tabulation:
-    """Per-element physical basis tables at one quadrature rule.
+    """Reference basis tables at one quadrature rule, plus the element maps.
 
-    Scalar: ``values`` (ndof, nq), ``gradients`` (nt, nq, ndof, 2).
-    Edge:   ``vec_values`` (nt, nq, ndof, 2), ``curls`` (nt, ndof);
-    edge tables already carry the orientation signs.
+    No basis table is per element: kernels contract the reference tables
+    first and map the result through the mesh's ``jac_inv``/``det``. Scalar:
+    ``values`` (ndof, nq), ``grads`` (ndof, nq, 2), physical gradient
+    J^-T grad_ref. Edge: ``values`` (ndof, nq, 2), ``curls`` (ndof, nq);
+    covariant Piola gives sign J^-T v_ref and curl sign curl_ref / det,
+    ``signs`` being the space's ``cell_signs``.
     """
 
     rule: refelem.QuadratureRule
-    values: np.ndarray | None = None
-    gradients: np.ndarray | None = None
-    vec_values: np.ndarray | None = None
-    curls: np.ndarray | None = None
+    values: np.ndarray
+    grads: np.ndarray | None
+    curls: np.ndarray | None
+    signs: np.ndarray  # (nt, ndof)
+    jac_inv: np.ndarray  # (nt, 2, 2)
+    det: np.ndarray  # (nt,)
 
 
 def tabulate(space: FESpace, rule: refelem.QuadratureRule) -> Tabulation:
-    mesh = space.mesh
     base = refelem.eval_basis(space.family, rule.points)
-    if not space.is_edge_family:
-        # physical gradient = J^{-T} grad_ref
-        grads = np.einsum(
-            "tba,iqb->tqia", mesh.jac_inv, base.gradients, optimize=True
-        )
-        return Tabulation(rule=rule, values=base.values, gradients=grads)
-    # covariant Piola: v = J^{-T} v_ref, curl v = curl_ref / det
-    vecs = np.einsum("tba,iqb->tqia", mesh.jac_inv, base.values, optimize=True)
-    vecs *= space.cell_signs[:, None, :, None]
-    curls = (base.curls[None, :, 0] / mesh.det[:, None]) * space.cell_signs
-    return Tabulation(rule=rule, vec_values=vecs, curls=curls)
+    mesh = space.mesh
+    return Tabulation(rule, base.values, base.gradients, base.curls, space.cell_signs,
+                      mesh.jac_inv, mesh.det)
 
 
 def eval_field(field: FEField, tab: Tabulation):
@@ -194,31 +190,21 @@ def eval_field(field: FEField, tab: Tabulation):
     """
     space = field.space
     dofs = space.cell_dofs
+    nt, ndof = dofs.shape
+    nq = tab.rule.n_points
     if space.is_edge_family:
-        c = field.coeffs[dofs]  # (nt, ndof)
-        vals = np.einsum("ti,tqia->tqa", c, tab.vec_values, optimize=True)
-        curls = np.einsum("ti,ti->t", c, tab.curls)
-        nq = tab.rule.n_points
-        return vals, np.broadcast_to(curls[:, None], (dofs.shape[0], nq))
+        c = field.coeffs[dofs] * tab.signs
+        ref = c @ tab.values.reshape(ndof, 2 * nq)
+        curls = (c @ tab.curls) / tab.det[:, None]
+        return ref.reshape(nt, nq, 2) @ tab.jac_inv, curls
+    c = field.coeffs.reshape(space.components, -1)[:, dofs]  # (comp, nt, ndof)
+    vals = c @ tab.values
+    ref = c @ tab.grads.reshape(ndof, 2 * nq)
+    grads = ref.reshape(space.components, nt, nq, 2) @ tab.jac_inv
     if space.components == 1:
-        c = field.coeffs[dofs]
-        vals = np.einsum("ti,iq->tq", c, tab.values)
-        grads = np.einsum("ti,tqia->tqa", c, tab.gradients, optimize=True)
-        return vals, grads
-    cx = field.coeffs[dofs]
-    cy = field.coeffs[space.n_scalar + dofs]
-    vals = np.stack(
-        [np.einsum("ti,iq->tq", cx, tab.values), np.einsum("ti,iq->tq", cy, tab.values)],
-        axis=-1,
-    )
-    grads = np.stack(
-        [
-            np.einsum("ti,tqia->tqa", cx, tab.gradients, optimize=True),
-            np.einsum("ti,tqia->tqa", cy, tab.gradients, optimize=True),
-        ],
-        axis=-2,
-    )  # (nt, nq, 2, 2) with [i, j] = d u_i / d x_j
-    return vals, grads
+        return vals[0], grads[0]
+    # (nt, nq, 2, 2) with [i, j] = d u_i / d x_j
+    return vals.transpose(1, 2, 0), grads.transpose(1, 2, 0, 3)
 
 
 # ---------------------------------------------------------------------------

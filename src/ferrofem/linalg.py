@@ -1,9 +1,9 @@
 """Deterministic sparse solvers for the reduced systems.
 
 Desk-scale problems (<= a few 10^5 dofs) use SuperLU only where a factor
-is needed. SPD systems are solved directly by default, or by preconditioned
-CG: the potential chain factors its Poisson seed once per level and
-preconditions each frozen-coefficient Picard matrix with that factor (the
+is needed. SPD systems are solved by preconditioned CG: the potential chain
+factors its Poisson seed once per level and preconditions each
+frozen-coefficient Picard matrix with that factor (the
 coefficient is bounded, so the two are spectrally equivalent independently
 of h), and the recovery mass matrices use the Jacobi diagonal and factor
 nothing. Every solve verifies its own residual and returns a
@@ -38,6 +38,10 @@ SPD_RTOL = 1e-10
 # moved far from the seed's.
 CG_RTOL = 1e-11
 CG_MAXITER = 50
+# Jacobi CG on the recovery mass matrices, whose conditioning depends on shape
+# regularity, not h: the NE1 mass takes 39-42 iterations on the uniform mesh
+# and 53-63 with vertices jittered by +-0.25 h, a third of this cap.
+JACOBI_MAXITER = 200
 SADDLE_RTOL = 1e-9
 # GMRES on the pressure Schur complement. Its residual is the pressure-row
 # residual of the full system, so it stops at SCHUR_RTOL relative to its own
@@ -82,7 +86,7 @@ class ReusedFactor:
         self.lu = None
 
 
-def _cg(a, b, m_solve, x0):
+def _cg(a, b, m_solve, x0, maxiter):
     """Preconditioned CG: ``(x, iterations)``, ``x`` None at the cap."""
     iterations = 0
 
@@ -92,18 +96,19 @@ def _cg(a, b, m_solve, x0):
 
     m = spla.LinearOperator(a.shape, matvec=m_solve, dtype=float)
     x, info = spla.cg(
-        a, b, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=m, callback=count
+        a, b, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=maxiter, M=m, callback=count
     )
     return (x if info == 0 else None), iterations
 
 
-def solve_spd(a: sp.spmatrix, b: np.ndarray, precond=None, x0=None):
+def solve_spd(a: sp.spmatrix, b: np.ndarray, precond, x0=None):
     """Solve a symmetric positive definite reduced system.
 
-    ``precond`` picks the method: None factors ``a`` (a direct solve);
-    ``"jacobi"`` runs CG preconditioned by ``diag(a)`` and factors nothing;
-    a :class:`ReusedFactor` runs CG preconditioned by its factor (factoring
-    ``a`` when it is empty or CG reaches the cap). ``x0`` starts CG.
+    ``precond`` picks the method: ``"jacobi"`` runs CG preconditioned by
+    ``diag(a)``, capped at :data:`JACOBI_MAXITER`, and factors nothing; a
+    :class:`ReusedFactor` runs CG preconditioned by its factor, capped at
+    :data:`CG_MAXITER` (factoring ``a`` when it is empty or CG reaches the
+    cap, so a fresh one gives a direct solve). ``x0`` starts CG.
 
     Returns ``(x, report)`` with a relative residual below :data:`SPD_RTOL`;
     ``report.iterations`` is the CG count (0 for a direct solve) and
@@ -122,20 +127,19 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, precond=None, x0=None):
     b = np.asarray(b, dtype=float)
     iterations = fill = 0
     try:
-        if precond is None:
-            lu = _splu(a)
-            x, fill = lu.solve(b), lu.nnz
-        elif isinstance(precond, ReusedFactor):
+        if isinstance(precond, ReusedFactor):
             x = None
             if precond.lu is not None:
-                x, iterations = _cg(a, b, precond.lu.solve, x0)
+                x, iterations = _cg(a, b, precond.lu.solve, x0, CG_MAXITER)
             if x is None:
                 precond.lu = _splu(a)
                 x = precond.lu.solve(b)
             fill = precond.lu.nnz
-        else:
+        elif precond == "jacobi":
             diag = a.diagonal()
-            x, iterations = _cg(a, b, lambda r: r / diag, x0)
+            x, iterations = _cg(a, b, lambda r: r / diag, x0, JACOBI_MAXITER)
+        else:
+            raise ValueError(f"unknown preconditioner {precond!r}")
     except RuntimeError as exc:
         raise SolverError(
             SolveReport(np.inf, iterations, "singular"), f"factorization failed: {exc}"

@@ -232,10 +232,10 @@ def field_error(field: FEField, exact, part: str = "value", exact_curl=None,
     err2 = ref2 = 0.0
     for approx, ex in terms:
         ex = np.asarray(ex(points) if callable(ex) else ex).reshape(approx.shape)
-        diff = approx - ex
-        axes = tuple(range(2, approx.ndim))  # pointwise squared magnitude
-        err2 += float(np.einsum("tq,tq->", w, (diff * diff).sum(axis=axes)))
-        ref2 += float(np.einsum("tq,tq->", w, (ex * ex).sum(axis=axes)))
+        diff = (approx - ex).reshape(*w.shape, -1)  # pointwise squared magnitudes
+        ex = ex.reshape(diff.shape)  # summed by einsum, with no squared temporary
+        err2 += float(np.einsum("tq,tqk,tqk->", w, diff, diff))
+        ref2 += float(np.einsum("tq,tqk,tqk->", w, ex, ex))
     return math.sqrt(max(err2, 0.0)), math.sqrt(max(ref2, 0.0))
 
 
@@ -678,7 +678,11 @@ def infsup_constant(pair: str, n: int) -> float:
     return float(np.sqrt(max(eigs[1], 0.0)))
 
 
-def check_infsup(levels=(4, 8, 16)) -> list:
+INFSUP_LEVELS = (4, 8, 16)  # the level window is part of the criterion
+CR_KERNEL_N = 4
+
+
+def check_infsup() -> list:
     """Inf-sup constants stay bounded below under refinement.
 
     A degenerate pair loses a constant factor per refinement (beta ~ h^s);
@@ -690,7 +694,7 @@ def check_infsup(levels=(4, 8, 16)) -> list:
     """
     res = []
     for pair in ("l0", "l1"):
-        betas = [infsup_constant(pair, n) for n in levels]
+        betas = [infsup_constant(pair, n) for n in INFSUP_LEVELS]
         drops = [1.0 - b2 / b1 for b1, b2 in zip(betas, betas[1:])]
         ok = drops[-1] <= 0.10 and all(
             d2 <= d1 + 1e-9 for d1, d2 in zip(drops, drops[1:])
@@ -763,9 +767,9 @@ def check_stability_bounds(n: int = 8) -> list:
     return res
 
 
-def check_cr_kernel(n: int = 4) -> list:
+def check_cr_kernel() -> list:
     """Broken H1 seminorm is a norm on the zero-trace CR space."""
-    mesh = mesh2d.build_uniform_square(n)
+    mesh = mesh2d.build_uniform_square(CR_KERNEL_N)
     v = fespace.build_space(mesh, "CR", components=2)
     k = assembly.assemble_stokes_blocks(v, fespace.build_space(mesh, "P0"), 1.0).A
     kf = k[v.free_mask][:, v.free_mask].toarray()
@@ -783,7 +787,7 @@ def run_property_battery(seed: int = 42, quick: bool = False) -> list:
     results += check_form_bounds(seed, n=4 if quick else 8, n_fields=10 if quick else 100)
     results += check_convection_skew(seed, n=4 if quick else 8, n_triples=20 if quick else 100)
     results += check_commuting_diagram(seed, n=3 if quick else 5)
-    results += check_infsup()  # the level window is part of the criterion
+    results += check_infsup()
     results += check_stability_bounds(n=4 if quick else 8)
-    results += check_cr_kernel(n=4)
+    results += check_cr_kernel()
     return results

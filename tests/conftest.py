@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from ferrofem import verify
+from ferrofem import mesh2d, verify
 
 _ACCEPTANCE_LINES = []
 
@@ -14,6 +15,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+_build_uniform_square = mesh2d.build_uniform_square  # kept for monkeypatched runs
+
+
+def _jittered_square(n: int, seed: int = 0):
+    """Uniform N x N mesh with every interior vertex moved by a seeded uniform
+    +-0.25 h in each coordinate (h = 1/N), so no two elements share a Jacobian."""
+    mesh = _build_uniform_square(n)
+    vertices = mesh.vertices.copy()
+    inner = ~mesh.boundary_vertex
+    rng = np.random.default_rng([seed, n])
+    vertices[inner] += rng.uniform(-0.25 / n, 0.25 / n, size=(int(inner.sum()), 2))
+    return mesh2d.from_arrays(vertices, mesh.triangles)
+
+
+@pytest.fixture
+def jittered_square():
+    """Builder ``(n, seed=0) -> Mesh2D`` of a seeded jittered unit-square mesh."""
+    return _jittered_square
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ferrofem import assembly, fespace, linalg, mesh2d, refelem
+from ferrofem import assembly, fespace, linalg, material, mesh2d, refelem
 from ferrofem.fespace import FEField
 from ferrofem.material import MaterialParams
 
@@ -18,6 +18,19 @@ def phi_bubble(p):
 def grad_phi_bubble(p):
     x, y = p[:, 0], p[:, 1]
     return np.stack([(1 - 2 * x) * y * (1 - y), (1 - 2 * y) * x * (1 - x)], axis=1)
+
+
+def physical_gradients(space, rule):
+    """Physical basis gradients J^-T grad_ref per element, (nt, nq, ndof, 2)."""
+    base = refelem.eval_basis(space.family, rule.points)
+    return np.einsum("tba,iqb->tqia", space.mesh.jac_inv, base.gradients)
+
+
+def physical_edge_values(space, rule):
+    """Signed covariant Piola edge vectors per element, (nt, nq, ndof, 2)."""
+    base = refelem.eval_basis(space.family, rule.points)
+    vecs = np.einsum("tba,iqb->tqia", space.mesh.jac_inv, base.values)
+    return vecs * space.cell_signs[:, None, :, None]
 
 
 class TestWeightedStiffness:
@@ -126,11 +139,11 @@ class TestEllipticRhs:
                 rhs_exact[vids[i_loc]] += float(val)
 
         rule = refelem.quadrature(5)
-        tab = fespace.tabulate(s, rule)
+        grads = physical_gradients(s, rule)
         xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
         g = grad_phi_bubble(xq).reshape(mesh.n_triangles, rule.n_points, 2)
         wdx = rule.weights[None, :] * mesh.det[:, None]
-        local = np.einsum("tqa,tqia->ti", g * wdx[:, :, None], tab.gradients)
+        local = np.einsum("tqa,tqia->ti", g * wdx[:, :, None], grads)
         rhs_quad = np.bincount(s.cell_dofs.ravel(), weights=local.ravel(), minlength=s.n_dofs)
         assert np.abs(rhs_quad - rhs_exact).max() < 1e-14
 
@@ -144,11 +157,11 @@ class TestEllipticRhs:
         k = assembly.assemble_weighted_stiffness(s)
         iphi = fespace.interpolate_nodal(s, phi_bubble)
         rule = refelem.quadrature(5)
-        tab = fespace.tabulate(s, rule)
+        grads = physical_gradients(s, rule)
         xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
         g = grad_phi_bubble(xq).reshape(mesh.n_triangles, rule.n_points, 2)
         wdx = rule.weights[None, :] * mesh.det[:, None]
-        local = np.einsum("tqa,tqia->ti", g * wdx[:, :, None], tab.gradients)
+        local = np.einsum("tqa,tqia->ti", g * wdx[:, :, None], grads)
         rhs = np.bincount(s.cell_dofs.ravel(), weights=local.ravel(), minlength=s.n_dofs)
         gap = np.abs(rhs - k @ iphi.coeffs)[s.free_mask].max()
         assert gap == pytest.approx((2.0 / 3.0) / n**4, rel=1e-10)
@@ -174,7 +187,7 @@ class TestEdgeMassAndRhs:
         f = FEField(u, rng.standard_normal(u.n_dofs))
         m = assembly.assemble_edge_mass(u)
         rhs = assembly.assemble_edge_rhs(u, (f, None))
-        x, rep = linalg.solve_spd(m, rhs)
+        x, rep = linalg.solve_spd(m, rhs, linalg.ReusedFactor())
         assert rep.status == "ok"
         assert np.abs(x - f.coeffs).max() < 1e-9
 
@@ -187,9 +200,9 @@ class TestEdgeMassAndRhs:
         const = fespace.interpolate_edge(u, lambda p: np.tile([1.0, 0.0], (len(p), 1)))
         got = m @ const.coeffs
         rule = refelem.quadrature(2)
-        tab = fespace.tabulate(u, rule)
+        vecs = physical_edge_values(u, rule)
         wdx = rule.weights[None, :] * mesh.det[:, None]
-        local = np.einsum("tq,tqi->ti", wdx, tab.vec_values[:, :, :, 0])
+        local = np.einsum("tq,tqi->ti", wdx, vecs[:, :, :, 0])
         oracle = np.bincount(u.cell_dofs.ravel(), weights=local.ravel(), minlength=u.n_dofs)
         assert np.abs(got - oracle).max() < 1e-14
 
@@ -327,12 +340,12 @@ class TestNsRhs:
             ui = fespace.interpolate_nodal(prob.V, case.u)
             mw = assembly.assemble_scalar_mass(prob.W)
             pi_rhs = assembly.assemble_scalar_rhs(prob.W, case.p_tilde, 6)
-            pi, _ = linalg.solve_spd(mw, pi_rhs)
+            pi, _ = linalg.solve_spd(mw, pi_rhs, linalg.ReusedFactor())
             conv = assembly.assemble_convection(prob.V, ui, case.params.rho)
             a = (prob.visc + conv).tocsr()
             r = (prob.rhs_u - (a @ ui.coeffs - prob.saddle.B.T @ pi))[prob.V.free_mask]
             kff = prob.visc[prob.V.free_mask][:, prob.V.free_mask]
-            z, _ = linalg.solve_spd(kff, r)
+            z, _ = linalg.solve_spd(kff, r, linalg.ReusedFactor())
             duals.append(math.sqrt(r @ z))
         assert duals[2] < duals[1] < duals[0]
         assert duals[2] < 0.62 * duals[1]  # measured ~0.52 ratio, O(h)
@@ -365,3 +378,193 @@ class TestTraversalOrderIndependence:
             ).A
         diff = abs(a - b)
         assert (diff.max() if diff.nnz else 0.0) <= 1e-13
+
+
+def _scatter(local, rows, cols, shape):
+    r = np.broadcast_to(rows[:, :, None], local.shape).ravel()
+    c = np.broadcast_to(cols[:, None, :], local.shape).ravel()
+    return sp.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def _gather(local, dofs, n):
+    return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=n)
+
+
+def _close(new, old, rtol=1e-12):
+    if sp.issparse(old):
+        gap, scale = abs(new - old), abs(old)
+        return (gap.max() if gap.nnz else 0.0) <= rtol * scale.max()
+    return np.abs(new - old).max() <= rtol * np.abs(old).max()
+
+
+class TestReferenceKernels:
+    """Each reference-table kernel against the physical-table formula it
+    replaced, rebuilt here, on a jittered mesh where every element has its
+    own Jacobian (a transposed J^-1 cannot hide behind symmetry)."""
+
+    @pytest.fixture
+    def mesh(self, jittered_square):
+        return jittered_square(6, seed=11)
+
+    @pytest.fixture
+    def rules(self, monkeypatch):
+        """The rule each kernel tabulates its spaces at, keyed by family."""
+        seen = {}
+        real = fespace.tabulate
+
+        def tabulate(space, rule):
+            seen.setdefault(space.family, rule)
+            return real(space, rule)
+
+        monkeypatch.setattr(fespace, "tabulate", tabulate)
+        return seen
+
+    @staticmethod
+    def old_eval(field, rule):
+        s = field.space
+        base = refelem.eval_basis(s.family, rule.points)
+        if s.is_edge_family:
+            c = field.coeffs[s.cell_dofs]
+            curls = (base.curls[None, :, 0] / s.mesh.det[:, None]) * s.cell_signs
+            vals = np.einsum("ti,tqia->tqa", c, physical_edge_values(s, rule))
+            return vals, np.einsum("ti,ti->t", c, curls)[:, None]
+        grads = physical_gradients(s, rule)
+        comps = [field.coeffs[k * s.n_scalar + s.cell_dofs] for k in range(s.components)]
+        vals = [c @ base.values for c in comps]
+        gs = [np.einsum("ti,tqia->tqa", c, grads) for c in comps]
+        if s.components == 1:
+            return vals[0], gs[0]
+        return np.stack(vals, axis=-1), np.stack(gs, axis=-2)
+
+    @pytest.mark.parametrize(
+        "fam, comps", [("P0", 1), ("P1", 1), ("P2", 1), ("P2", 2), ("CR", 2),
+                       ("NE0", 1), ("NE1", 1)]
+    )
+    def test_eval_field(self, mesh, fam, comps):
+        s = fespace.build_space(mesh, fam, comps)
+        f = FEField(s, np.random.default_rng(1).standard_normal(s.n_dofs))
+        rule = refelem.quadrature(8)
+        vals, second = fespace.eval_field(f, fespace.tabulate(s, rule))
+        old_vals, old_second = self.old_eval(f, rule)
+        assert vals.shape == old_vals.shape
+        assert _close(vals, old_vals)
+        if fam == "P0":
+            assert np.abs(second).max() == 0.0
+        else:
+            assert _close(second, np.broadcast_to(old_second, second.shape))
+
+    @pytest.mark.parametrize("fam", ["P1", "P2"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_weighted_stiffness(self, mesh, rules, fam, frozen):
+        s = fespace.build_space(mesh, fam)
+        w = FEField(s, np.random.default_rng(2).standard_normal(s.n_dofs)) if frozen else None
+        k = assembly.assemble_weighted_stiffness(s, w, PARAMS)
+        rule = rules[fam]
+        wdx = rule.weights[None, :] * mesh.det[:, None]
+        if frozen:
+            _, gw = self.old_eval(w, rule)
+            wdx = wdx * material.alpha(np.sqrt((gw * gw).sum(axis=-1)), PARAMS)
+        g = physical_gradients(s, rule)
+        local = np.einsum("tq,tqia,tqja->tij", wdx, g, g)
+        assert _close(k, _scatter(local, s.cell_dofs, s.cell_dofs, k.shape))
+
+    @pytest.mark.parametrize("pair", [("CR", "P0"), ("P2", "P1")])
+    def test_stokes_blocks(self, mesh, rules, pair):
+        v = fespace.build_space(mesh, pair[0], components=2)
+        w = fespace.build_space(mesh, pair[1])
+        sys = assembly.assemble_stokes_blocks(v, w, eta=0.7)
+        rule = rules[pair[0]]
+        wq = rule.weights[None, :] * mesh.det[:, None]
+        g = physical_gradients(v, rule)
+        pv = refelem.eval_basis(pair[1], rule.points).values
+        ns, np_ = v.n_scalar, w.n_scalar
+        k = _scatter(np.einsum("tq,tqia,tqja->tij", wq, g, g), v.cell_dofs, v.cell_dofs, (ns, ns))
+        assert _close(sys.A, 0.7 * sp.block_diag([k, k], format="csr"))
+        b = sp.hstack(
+            [
+                _scatter(np.einsum("tq,kq,tqi->tki", wq, pv, g[:, :, :, c]),
+                         w.cell_dofs, v.cell_dofs, (np_, ns))
+                for c in range(2)
+            ],
+            format="csr",
+        )
+        assert _close(sys.B, b)
+        assert _close(sys.mean, _gather(np.einsum("tq,iq->ti", wq, pv), w.cell_dofs, np_))
+
+    @pytest.mark.parametrize("fam", ["CR", "P2"])
+    def test_convection(self, mesh, rules, fam):
+        v = fespace.build_space(mesh, fam, components=2)
+        wf = FEField(v, np.random.default_rng(3).standard_normal(v.n_dofs))
+        n = assembly.assemble_convection(v, wf, rho=1.3)
+        rule = rules[fam]
+        wq = rule.weights[None, :] * mesh.det[:, None]
+        wvals, _ = self.old_eval(wf, rule)
+        phi = refelem.eval_basis(fam, rule.points).values
+        wg = np.einsum("tqa,tqja->tqj", wvals, physical_gradients(v, rule))
+        c_loc = np.einsum("tq,iq,tqj->tij", wq, phi, wg)
+        c = _scatter(c_loc, v.cell_dofs, v.cell_dofs, (v.n_scalar, v.n_scalar))
+        skew = 0.5 * 1.3 * (c - c.T)
+        assert _close(n, sp.block_diag([skew, skew], format="csr"))
+
+    @pytest.mark.parametrize("fam", ["NE0", "NE1"])
+    def test_edge_mass_and_rhs(self, mesh, rules, fam):
+        u = fespace.build_space(mesh, fam)
+        m = assembly.assemble_edge_mass(u)
+        rule = rules[fam]
+        wq = rule.weights[None, :] * mesh.det[:, None]
+        vecs = physical_edge_values(u, rule)
+        local = np.einsum("tq,tqia,tqja->tij", wq, vecs, vecs)
+        assert _close(m, _scatter(local, u.cell_dofs, u.cell_dofs, m.shape))
+        rules.clear()
+        rhs = assembly.assemble_edge_rhs(u, grad_phi_bubble)
+        rule = rules[fam]
+        wq = rule.weights[None, :] * mesh.det[:, None]
+        xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
+        data = grad_phi_bubble(xq).reshape(mesh.n_triangles, rule.n_points, 2)
+        local = np.einsum("tqa,tqia->ti", data * wq[:, :, None], physical_edge_values(u, rule))
+        assert _close(rhs, _gather(local, u.cell_dofs, u.n_dofs))
+
+    @pytest.mark.parametrize("fam", ["P0", "P1"])
+    def test_scalar_rhs(self, mesh, rules, fam):
+        s = fespace.build_space(mesh, fam)
+        rhs = assembly.assemble_scalar_rhs(s, phi_bubble)
+        rule = rules[fam]
+        wq = rule.weights[None, :] * mesh.det[:, None]
+        xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
+        data = phi_bubble(xq).reshape(mesh.n_triangles, rule.n_points)
+        local = np.einsum("tq,iq->ti", data * wq, refelem.eval_basis(fam, rule.points).values)
+        assert _close(rhs, _gather(local, s.cell_dofs, s.n_scalar))
+
+    @pytest.mark.parametrize("fam", ["P1", "P2"])
+    @pytest.mark.parametrize("kind", ["manufactured", "external"])
+    def test_elliptic_rhs(self, mesh, rules, fam, kind):
+        s = fespace.build_space(mesh, fam)
+        if kind == "manufactured":
+            rhs = assembly.elliptic_rhs_manufactured(s, grad_phi_bubble, PARAMS)
+        else:
+            rhs = assembly.elliptic_rhs_external(s, grad_phi_bubble, PARAMS)
+        rule = rules[fam]
+        wq = rule.weights[None, :] * mesh.det[:, None]
+        xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
+        g = grad_phi_bubble(xq).reshape(mesh.n_triangles, rule.n_points, 2)
+        if kind == "manufactured":
+            flux = (material.alpha(np.sqrt((g * g).sum(axis=-1)), PARAMS) * wq)[:, :, None] * g
+        else:
+            flux = wq[:, :, None] * g / PARAMS.mu0
+        local = np.einsum("tqa,tqia->ti", flux, physical_gradients(s, rule))
+        assert _close(rhs, _gather(local, s.cell_dofs, s.n_dofs))
+
+    @pytest.mark.parametrize("fam", ["CR", "P2"])
+    def test_ns_rhs(self, mesh, rules, fam):
+        v = fespace.build_space(mesh, fam, components=2)
+        rhs = assembly.assemble_ns_rhs(v, grad_phi_bubble)
+        rule = rules[fam]
+        wq = rule.weights[None, :] * mesh.det[:, None]
+        xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
+        fv = grad_phi_bubble(xq).reshape(mesh.n_triangles, rule.n_points, 2) * wq[:, :, None]
+        phi = refelem.eval_basis(fam, rule.points).values
+        old = np.concatenate(
+            [_gather(np.einsum("tq,iq->ti", fv[:, :, c], phi), v.cell_dofs, v.n_scalar)
+             for c in range(2)]
+        )
+        assert _close(rhs, old)

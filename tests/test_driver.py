@@ -172,7 +172,9 @@ class TestFactorReuse:
         phi_cg, info_cg = driver.picard_elliptic(driver.Problem(cfg))
         real = driver.linalg.solve_spd
         monkeypatch.setattr(
-            driver.linalg, "solve_spd", lambda a, b, precond=None, x0=None: real(a, b)
+            driver.linalg,
+            "solve_spd",
+            lambda a, b, precond, x0=None: real(a, b, driver.linalg.ReusedFactor()),
         )
         phi_lu, info_lu = driver.picard_elliptic(driver.Problem(cfg))
         assert all(r.iterations == 0 for r in info_lu["reports"])

@@ -12,13 +12,13 @@ from ferrofem.material import MaterialParams
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        x, rep = linalg.solve_spd(sp.identity(3, format="csr"), b)
+        x, rep = linalg.solve_spd(sp.identity(3, format="csr"), b, linalg.ReusedFactor())
         assert np.array_equal(x, b)
         assert rep.status == "ok"
 
     def test_two_by_two_closed_form(self):
         a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        x, rep = linalg.solve_spd(a, np.array([1.0, 2.0]))
+        x, rep = linalg.solve_spd(a, np.array([1.0, 2.0]), linalg.ReusedFactor())
         assert x == pytest.approx([1.0 / 11.0, 7.0 / 11.0], rel=1e-14)
         assert rep.status == "ok"
 
@@ -29,7 +29,7 @@ class TestSolveSpd:
         k = assembly.assemble_weighted_stiffness(s)
         kff = k[s.free_mask][:, s.free_mask]
         x_true = rng.standard_normal(kff.shape[0])
-        x, rep = linalg.solve_spd(kff, kff @ x_true)
+        x, rep = linalg.solve_spd(kff, kff @ x_true, linalg.ReusedFactor())
         assert rep.status == "ok"
         assert rep.fill > 0
         assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) < 1e-9
@@ -38,24 +38,37 @@ class TestSolveSpd:
         mesh = mesh2d.build_uniform_square(8)
         mass = assembly.assemble_edge_mass(fespace.build_space(mesh, "NE1"))
         b = np.random.default_rng(1).standard_normal(mass.shape[0])
-        x_lu, _ = linalg.solve_spd(mass, b)
+        x_lu, _ = linalg.solve_spd(mass, b, linalg.ReusedFactor())
         x, rep = linalg.solve_spd(mass, b, "jacobi")
         assert rep.status == "ok" and rep.iterations > 0 and rep.fill == 0
         assert np.linalg.norm(x - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
-        monkeypatch.setattr(linalg, "CG_MAXITER", 1)
+        monkeypatch.setattr(linalg, "JACOBI_MAXITER", 1)
         with pytest.raises(SolverError, match="Jacobi CG") as err:
             linalg.solve_spd(mass, b, "jacobi")
         assert err.value.report.status == "not_converged"
 
+    def test_jacobi_cap_is_its_own(self, jittered_square):
+        # the NE1 mass on a jittered mesh needs more Jacobi CG iterations than
+        # the factor-preconditioned cap allows
+        mass = assembly.assemble_edge_mass(fespace.build_space(jittered_square(8), "NE1"))
+        b = np.random.default_rng(2).standard_normal(mass.shape[0])
+        x, rep = linalg.solve_spd(mass, b, "jacobi")
+        assert rep.status == "ok"
+        assert linalg.CG_MAXITER < rep.iterations < linalg.JACOBI_MAXITER / 2
+
+    def test_rejects_unknown_preconditioner(self):
+        with pytest.raises(ValueError, match="preconditioner"):
+            linalg.solve_spd(sp.identity(2, format="csr"), np.ones(2), None)
+
     def test_rejects_unsymmetric(self):
         a = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(SolverError, match="symmetric"):
-            linalg.solve_spd(a, np.ones(2))
+            linalg.solve_spd(a, np.ones(2), linalg.ReusedFactor())
 
     def test_singular_reported(self):
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverError) as err:
-            linalg.solve_spd(a, np.array([1.0, 0.0]))
+            linalg.solve_spd(a, np.array([1.0, 0.0]), linalg.ReusedFactor())
         assert err.value.report.status in ("singular", "not_converged")
 
 
@@ -235,7 +248,7 @@ class TestReduceDirichlet:
         g = np.where(s.dirichlet_mask, mesh.vertices[:, 0], 0.0)
         b = np.zeros(s.n_dofs)
         kff, bf, expand = linalg.reduce_dirichlet(k, b, s.free_mask, g)
-        x, _ = linalg.solve_spd(kff, bf)
+        x, _ = linalg.solve_spd(kff, bf, linalg.ReusedFactor())
         full = expand(x)
         # harmonic extension of x-coordinate data is x itself
         assert np.abs(full - mesh.vertices[:, 0]).max() < 1e-10

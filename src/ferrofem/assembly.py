@@ -20,7 +20,7 @@ gradient), mapped by ``transform`` unless it is None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -229,28 +229,21 @@ _SUPPORTED_PAIRS = {("CR", "P0"), ("P2", "P1")}
 class SaddleSystem:
     """Assembled saddle-point problem for one Oseen/Stokes sweep.
 
-    ``A`` is the full velocity operator (viscous plus convective) in the
-    component-major layout, ``B`` the divergence pairing (q, div v), and
-    ``mean`` the pressure-mean row used to pin the L2_0 constraint through
-    one scalar multiplier. ``g`` holds prescribed velocity values on the
-    constrained dofs (zero elsewhere).
+    ``A`` is the scalar block of the velocity operator (viscous plus
+    convective), applied to each component alike: ``block_diag(A, A)`` acts
+    on the component-major velocity, as do ``B``, the divergence pairing
+    (q, div v), and the vectors ``rhs_u``, ``g`` (prescribed values on the
+    constrained dofs, zero elsewhere) and ``free_u`` (a tiled mask). ``mean``
+    is the pressure-mean row that pins the L2_0 constraint through one
+    scalar multiplier.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     mean: np.ndarray
     rhs_u: np.ndarray
-    rhs_p: np.ndarray
     free_u: np.ndarray
     g: np.ndarray
-
-    def with_operator(self, A: sp.csr_matrix, rhs_u=None, g=None) -> "SaddleSystem":
-        out = replace(self, A=A)
-        if rhs_u is not None:
-            out.rhs_u = rhs_u
-        if g is not None:
-            out.g = g
-        return out
 
 
 def _stokes_quad_degree(vfam: str) -> int:
@@ -261,7 +254,7 @@ def _stokes_quad_degree(vfam: str) -> int:
 def assemble_stokes_blocks(
     v_space: FESpace, w_space: FESpace, eta: float
 ) -> SaddleSystem:
-    """Viscous block, divergence block and pressure-mean row for a stable pair.
+    """Scalar viscous block, divergence block and pressure-mean row for a stable pair.
 
     Supported pairs: (CR^2, P0) with element-wise gradients and the
     Taylor-Hood pair (P2^2, P1).
@@ -274,8 +267,6 @@ def assemble_stokes_blocks(
     rule = refelem.quadrature(_stokes_quad_degree(v_space.family))
     tabv = fespace.tabulate(v_space, rule)
     tabp = fespace.tabulate(w_space, rule)
-    k_scal = _gram(v_space, tabv, tabv.grads)
-    a = eta * sp.block_diag([k_scal, k_scal], format="csr")
 
     # B[q, v] = int q dv/dx_c = det sum_b J^-1[b, c] int_ref q dv/dx_b, for
     # component c in the column block of its dofs
@@ -291,23 +282,22 @@ def assemble_stokes_blocks(
     mean_loc = np.outer(tabp.det, tabp.values @ rule.weights)
     mean = _scatter_vector(mean_loc, w_space.cell_dofs, np_)
 
-    n2 = 2 * ns
     return SaddleSystem(
-        A=a,
+        A=eta * _gram(v_space, tabv, tabv.grads),
         B=b,
         mean=mean,
-        rhs_u=np.zeros(n2),
-        rhs_p=np.zeros(np_),
+        rhs_u=np.zeros(2 * ns),
         free_u=v_space.free_mask,
-        g=np.zeros(n2),
+        g=np.zeros(2 * ns),
     )
 
 
 def assemble_convection(v_space: FESpace, w_field: FEField, rho: float) -> sp.csr_matrix:
-    """Skew-symmetrized convection matrix N with v'Nu = b(w; u, v).
+    """Scalar block N of the skew-symmetrized convection, v'Nu = b(w; u, v).
 
-    b(w; u, v) = rho/2 [((w.grad)u, v) - ((w.grad)v, u)]; built as
-    rho/2 (C - C') per component so skew-symmetry is structural.
+    b(w; u, v) = rho/2 [((w.grad)u, v) - ((w.grad)v, u)] acts on each
+    velocity component alike; N = rho/2 (C - C') is the block of one
+    component, so skew-symmetry is structural.
     """
     if w_field.space is not v_space:
         raise ValueError("convecting field must live on the velocity space")
@@ -322,8 +312,7 @@ def assemble_convection(v_space: FESpace, w_field: FEField, rho: float) -> sp.cs
     c_loc = (wref.reshape(nt, -1) @ ref).reshape(nt, ndof, ndof)
     ns = v_space.n_scalar
     c_raw = _scatter_matrix(c_loc, v_space.cell_dofs, v_space.cell_dofs, (ns, ns))
-    c_skew = 0.5 * rho * (c_raw - c_raw.T)
-    return sp.block_diag([c_skew, c_skew], format="csr")
+    return 0.5 * rho * (c_raw - c_raw.T)
 
 
 def assemble_ns_rhs(v_space: FESpace, f) -> np.ndarray:

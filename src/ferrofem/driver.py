@@ -27,7 +27,7 @@ study rises by up to 7%.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -110,32 +110,28 @@ class Problem:
         self.K1 = assembly.assemble_weighted_stiffness(self.S)  # alpha == 1
         # the potential chain's one factor per level: the Poisson seed's
         self.phi_factor = linalg.ReusedFactor()
+        # the Stokes system, with this level's velocity load and boundary values
+        self.saddle = assembly.assemble_stokes_blocks(self.V, self.W, cfg.params.eta)
         if cfg.case is not None:
             self.rhs_phi = assembly.elliptic_rhs_manufactured(
                 self.S, cfg.case.grad_phi, cfg.params, cfg.quad_bump
             )
-            self.f = cfg.case.f
+            f = cfg.case.f
             uex = fespace.interpolate_nodal(self.V, cfg.case.u)
-            self.g = np.where(self.V.free_mask, 0.0, uex.coeffs)
+            self.saddle.g = np.where(self.V.free_mask, 0.0, uex.coeffs)
         else:
             self.rhs_phi = assembly.elliptic_rhs_external(
                 self.S, cfg.h_ext, cfg.params, cfg.quad_bump
             )
-            self.f = cfg.body_force
-            self.g = np.zeros(self.V.n_dofs)
-
-        self.saddle = assembly.assemble_stokes_blocks(self.V, self.W, cfg.params.eta)
-        self.visc = self.saddle.A
-        if self.f is not None:
-            self.rhs_u = assembly.assemble_ns_rhs(self.V, self.f)
-        else:
-            self.rhs_u = np.zeros(self.V.n_dofs)
+            f = cfg.body_force
+        if f is not None:
+            self.saddle.rhs_u = assembly.assemble_ns_rhs(self.V, f)
 
     def grad_norm_phi(self, coeffs) -> float:
         return float(np.sqrt(max(coeffs @ (self.K1 @ coeffs), 0.0)))
 
     def grad_norm_u(self, coeffs) -> float:
-        visc_energy = coeffs @ (self.visc @ coeffs)
+        visc_energy = coeffs @ fespace.componentwise(self.saddle.A, coeffs)
         return float(np.sqrt(max(visc_energy / self.cfg.params.eta, 0.0)))
 
 
@@ -190,8 +186,7 @@ def picard_elliptic(prob: Problem, phi0: FEField | None = None):
 
 def initial_guess_velocity(prob: Problem):
     """Stokes seed: the saddle system without the convection matrix."""
-    sys = prob.saddle.with_operator(prob.visc, rhs_u=prob.rhs_u, g=prob.g)
-    u, p, report = linalg.solve_saddle(sys)
+    u, p, report = linalg.solve_saddle(prob.saddle)
     return FEField(prob.V, u), FEField(prob.W, p), report
 
 
@@ -208,9 +203,7 @@ def oseen_ns(prob: Problem, start: tuple[FEField, FEField] | None = None):
         (u, p), reports = start, []
     for _ in range(prob.cfg.oseen_iters):
         conv = assembly.assemble_convection(prob.V, u, prob.cfg.params.rho)
-        sys = prob.saddle.with_operator(
-            (prob.visc + conv).tocsr(), rhs_u=prob.rhs_u, g=prob.g
-        )
+        sys = replace(prob.saddle, A=(prob.saddle.A + conv).tocsr())
         u_coeffs, p_coeffs, report = linalg.solve_saddle(sys, p0=p.coeffs)
         reports.append(report)
         u = FEField(prob.V, u_coeffs)
@@ -287,9 +280,9 @@ def solve_fhd(cfg: FhdConfig) -> FhdSolution:
     """
     prob = Problem(cfg)
     # every solver measures its residual against the load's 2-norm
-    for name in ("rhs_phi", "rhs_u"):
+    for name, load in (("rhs_phi", prob.rhs_phi), ("rhs_u", prob.saddle.rhs_u)):
         with np.errstate(over="ignore"):
-            norm = np.linalg.norm(getattr(prob, name))
+            norm = np.linalg.norm(load)
         if not np.isfinite(norm):
             cause = ValueError(f"load vector {name} is not finite (2-norm {norm})")
             raise StageError("setup", cause)

@@ -80,6 +80,11 @@ class FEField:
             )
 
 
+def componentwise(block, x: np.ndarray) -> np.ndarray:
+    """``block`` on each component of ``x``: ``block_diag(block, ..., block) @ x``, bitwise."""
+    return (block @ x.reshape(-1, block.shape[1]).T).T.ravel()
+
+
 def build_space(mesh: Mesh2D, family: str, components: int = 1) -> FESpace:
     """Enumerate global dofs of ``family`` over ``mesh``.
 

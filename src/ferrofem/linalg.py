@@ -13,9 +13,10 @@ matrices and the velocity block, whose sparsity convection does not change),
 so every factorization uses one fill-reducing ordering: minimum degree on
 the structure of ``A + A'``.
 
-Saddle-point systems are solved blockwise: the velocity operator is two equal
-scalar blocks, so one scalar block is factored, and the pressure comes from
-GMRES on the Schur complement, preconditioned by the lumped pressure mass.
+Saddle-point systems are solved blockwise: the velocity operator is one
+scalar block applied to both components, so that block is factored, and the
+pressure comes from GMRES on the Schur complement, preconditioned by the
+lumped pressure mass.
 GMRES starts from a given pressure (the previous Oseen sweep's) or from zero.
 The returned pressure is mean-free to round-off.
 """
@@ -29,6 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SaddleSystem
+from .fespace import componentwise
 
 SPD_RTOL = 1e-10
 # Preconditioned CG on SPD systems stops at CG_RTOL of the right-hand side,
@@ -172,11 +174,11 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
         B_f u  + 0      + lam m = lift_p
         0      + m' p   + 0     = 0
 
-    with ``m`` the pressure-mean row. ``A_ff`` is ``block_diag(a, a)`` for
-    both pairs (component-major layout, tiled free mask), so only the scalar
-    block ``a`` is factored. Since the pressure basis sums to one and free
-    velocities vanish on the boundary, ``B_f' 1 = 0`` and the multiplier is
-    ``lam = sum(lift_p) / sum(m)``. The pressure solves
+    with ``m`` the pressure-mean row and ``A_ff`` the free part of the scalar
+    block ``sys.A``, factored once and applied to both velocity components
+    as the two columns of one product. Since the pressure basis sums to one
+    and free velocities vanish on the boundary, ``B_f' 1 = 0`` and the
+    multiplier is ``lam = sum(lift_p) / sum(m)``. The pressure solves
     ``B_f A_ff^-1 B_f' p = lift_p - lam m - B_f A_ff^-1 lift_u`` by
     unrestarted GMRES, right-preconditioned with ``diag(m)``, the lumped
     pressure mass; it is shifted to zero mean and the velocity follows from
@@ -202,14 +204,22 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
         raise SolverError(
             SolveReport(np.inf, 0, "singular"), "pressure mean row missing"
         )
-    a_ff, lift_u, expand = reduce_dirichlet(sys.A, sys.rhs_u, free, sys.g)
+    # component-major vectors as (n, 2) columns, one per component
+    n = sys.A.shape[0]
+    a_ff, lift_cols, _ = reduce_dirichlet(
+        sys.A, sys.rhs_u.reshape(2, n).T, free[:n], sys.g.reshape(2, n).T
+    )
+    lift_u = lift_cols.T.ravel()
     b_f = sp.csr_matrix(sys.B[:, free])
     b_ft = b_f.T.tocsr()
-    lift_p = sys.rhs_p - sys.B[:, ~free] @ sys.g[~free]
+    lift_p = -(sys.B[:, ~free] @ sys.g[~free])
 
-    h = a_ff.shape[0] // 2
+    h = a_ff.shape[0]
+    # allocated before the factor: above its buffers in the heap, a live array
+    # would keep their memory resident once freed (only the top is given back)
+    u = sys.g.copy()
     try:
-        lu = _splu(a_ff[:h, :h].tocsc())
+        lu = _splu(a_ff.tocsc())
     except RuntimeError as exc:
         raise SolverError(
             SolveReport(np.inf, 0, "singular"),
@@ -260,9 +270,8 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
             "non-finite saddle solution",
         )
 
-    r = np.concatenate(
-        [a_ff @ u_f - b_ft @ p - lift_u, b_f @ u_f + lam * mean - lift_p, [mean @ p]]
-    )
+    r_u = componentwise(a_ff, u_f) - b_ft @ p - lift_u
+    r = np.concatenate([r_u, b_f @ u_f + lam * mean - lift_p, [mean @ p]])
     res = np.linalg.norm(r)
     rel = res / max(rhs_norm, 1e-300)
     report = SolveReport(
@@ -270,13 +279,15 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     )
     if report.status != "ok":
         raise SolverError(report, f"saddle residual {rel:.3e} above {SADDLE_RTOL}")
-    return expand(u_f), p, report
+    u[free] = u_f
+    return u, p, report
 
 
 def reduce_dirichlet(a: sp.spmatrix, b: np.ndarray, free: np.ndarray, g=None):
     """Restrict ``a x = b`` to the free dofs, lifting prescribed values ``g``.
 
-    ``g=None`` means zero values, which need no lift. Returns
+    ``b`` and ``g`` may carry one column per right-hand side. ``g=None``
+    means zero values, which need no lift. Returns
     ``(a_ff, b_f, expand)`` where ``expand`` maps a free-dof solution back to
     full length with the prescribed values filled in.
     """

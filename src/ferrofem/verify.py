@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import assembly, driver, fespace, linalg, material, mesh2d, refelem
 from .driver import FhdConfig
@@ -451,11 +450,11 @@ def solution_distance(a: driver.FhdSolution, b: driver.FhdSolution) -> dict:
     mass_w = assembly.assemble_scalar_mass(a.p.space)
     vspace = a.u.space
     kv = assembly.assemble_stokes_blocks(vspace, a.p_tilde.space, 1.0).A
-    mv_scal = assembly.assemble_scalar_mass(vspace)
-    mv = sp.block_diag([mv_scal, mv_scal], format="csr")
+    mv = assembly.assemble_scalar_mass(vspace)
 
     def qnorm(mat, vec):
-        return math.sqrt(max(float(vec @ (mat @ vec)), 0.0))
+        # mat is a scalar block, applied to each component of vec
+        return math.sqrt(max(float(vec @ fespace.componentwise(mat, vec)), 0.0))
 
     du = a.u.coeffs - b.u.coeffs
     return {
@@ -588,11 +587,10 @@ def check_convection_skew(seed: int = 42, n: int = 8, n_triples: int = 100) -> l
         for _ in range(n_triples // 10):
             v = rng.standard_normal(v_space.n_dofs)
             u = rng.standard_normal(v_space.n_dofs)
-            worst_diag = max(
-                worst_diag, abs(float(v @ (nmat @ v))) / (scale * float(v @ v))
-            )
-            lhs = float(v @ (nmat @ u))
-            rhs = -float(u @ (nmat @ v))
+            nv = fespace.componentwise(nmat, v)
+            worst_diag = max(worst_diag, abs(float(v @ nv)) / (scale * float(v @ v)))
+            lhs = float(v @ fespace.componentwise(nmat, u))
+            rhs = -float(u @ nv)
             worst_sym = max(worst_sym, abs(lhs - rhs) / max(scale * abs(u @ v), 1.0))
     ok = worst_sym <= 1e-13 and worst_diag <= 1e-13
     return [
@@ -666,13 +664,13 @@ def infsup_constant(pair: str, n: int) -> float:
     v = fespace.build_space(mesh, v_fam, components=2)
     w = fespace.build_space(mesh, w_fam)
     sys = assembly.assemble_stokes_blocks(v, w, eta=1.0)
-    m_scal = assembly.assemble_scalar_mass(v)
-    free = v.free_mask
-    x = (sys.A + sp.block_diag([m_scal, m_scal], format="csr"))[free][:, free].toarray()
-    b = sys.B[:, free].toarray()
+    free = ~v.dirichlet_scalar
+    x = (sys.A + assembly.assemble_scalar_mass(v))[free][:, free].toarray()
     mp = assembly.assemble_scalar_mass(w).toarray()
     cho = scipy.linalg.cho_factor(x)
-    s_mat = b @ scipy.linalg.cho_solve(cho, b.T)
+    # the velocity Gram matrix is block_diag(x, x): one term B_c x^-1 B_c' per component
+    b_cs = np.split(sys.B[:, v.free_mask].toarray(), 2, axis=1)
+    s_mat = sum(b_c @ scipy.linalg.cho_solve(cho, b_c.T) for b_c in b_cs)
     eigs = scipy.linalg.eigh(s_mat, mp, eigvals_only=True)
     # smallest eigenvalue belongs to the constant pressure mode
     return float(np.sqrt(max(eigs[1], 0.0)))
@@ -756,7 +754,7 @@ def check_stability_bounds(n: int = 8) -> list:
     for _ in range(n_sweeps):
         u, p, _ = driver.oseen_ns(prob, (u, p))
         energy = params.eta * prob.grad_norm_u(u.coeffs) ** 2
-        work = float(prob.rhs_u @ u.coeffs)
+        work = float(prob.saddle.rhs_u @ u.coeffs)
         worst_u = max(worst_u, energy / max(work, 1e-300))
         ok_u &= energy <= work * (1.0 + 1e-10)
     res.append(
@@ -772,8 +770,8 @@ def check_cr_kernel() -> list:
     mesh = mesh2d.build_uniform_square(CR_KERNEL_N)
     v = fespace.build_space(mesh, "CR", components=2)
     k = assembly.assemble_stokes_blocks(v, fespace.build_space(mesh, "P0"), 1.0).A
-    kf = k[v.free_mask][:, v.free_mask].toarray()
-    lam_min = float(np.linalg.eigvalsh(kf)[0])
+    free = ~v.dirichlet_scalar  # the vector seminorm is the scalar one per component
+    lam_min = float(np.linalg.eigvalsh(k[free][:, free].toarray())[0])
     return [
         _result("cr-seminorm-kernel", lam_min > 1e-12, f"lambda_min {lam_min:.3e}")
     ]

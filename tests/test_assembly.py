@@ -222,6 +222,7 @@ class TestStokesBlocks:
         w = fespace.build_space(mesh, "P0")
         eta = 0.7
         sys = assembly.assemble_stokes_blocks(v, w, eta=eta)
+        a = sp.block_diag([sys.A, sys.A], format="csr")  # both components
         rule = refelem.quadrature(4)
         tab = fespace.tabulate(v, rule)
         for _ in range(5):
@@ -230,7 +231,7 @@ class TestStokesBlocks:
             _, grads = fespace.eval_field(f, tab)
             wdx = rule.weights[None, :] * mesh.det[:, None]
             energy = float(np.einsum("tq,tqij->", wdx, grads**2))
-            assert x @ (sys.A @ x) == pytest.approx(eta * energy, rel=1e-12)
+            assert x @ (a @ x) == pytest.approx(eta * energy, rel=1e-12)
 
     def test_divergence_against_zero_mean_pressure(self):
         # u = interpolant of (x, 0) has unit divergence element-wise, so the
@@ -277,7 +278,8 @@ class TestConvection:
         mesh = mesh2d.build_uniform_square(4)
         v = fespace.build_space(mesh, "CR", components=2)
         w = FEField(v, rng.standard_normal(v.n_dofs))
-        n = assembly.assemble_convection(v, w, rho=1.3)
+        n_scal = assembly.assemble_convection(v, w, rho=1.3)
+        n = sp.block_diag([n_scal, n_scal], format="csr")  # both components
         asym = abs(n + n.T)
         scale = max(abs(n).max(), 1.0)
         assert (asym.max() if asym.nnz else 0.0) <= 1e-13 * scale
@@ -298,7 +300,8 @@ class TestConvection:
         mesh = mesh2d.build_uniform_square(3)
         v = fespace.build_space(mesh, "P2", components=2)
         w = FEField(v, rng.standard_normal(v.n_dofs))
-        n = assembly.assemble_convection(v, w, rho=1.0)
+        n_scal = assembly.assemble_convection(v, w, rho=1.0)
+        n = sp.block_diag([n_scal, n_scal], format="csr")  # both components
         x = rng.standard_normal(v.n_dofs)
         assert abs(x @ (n @ x)) <= 1e-13 * abs(n).max() * (x @ x)
 
@@ -342,9 +345,10 @@ class TestNsRhs:
             pi_rhs = assembly.assemble_scalar_rhs(prob.W, case.p_tilde, 6)
             pi, _ = linalg.solve_spd(mw, pi_rhs, linalg.ReusedFactor())
             conv = assembly.assemble_convection(prob.V, ui, case.params.rho)
-            a = (prob.visc + conv).tocsr()
-            r = (prob.rhs_u - (a @ ui.coeffs - prob.saddle.B.T @ pi))[prob.V.free_mask]
-            kff = prob.visc[prob.V.free_mask][:, prob.V.free_mask]
+            visc = sp.block_diag([prob.saddle.A, prob.saddle.A], format="csr")
+            a = sp.block_diag([prob.saddle.A + conv] * 2, format="csr")
+            r = (prob.saddle.rhs_u - (a @ ui.coeffs - prob.saddle.B.T @ pi))[prob.V.free_mask]
+            kff = visc[prob.V.free_mask][:, prob.V.free_mask]
             z, _ = linalg.solve_spd(kff, r, linalg.ReusedFactor())
             duals.append(math.sqrt(r @ z))
         assert duals[2] < duals[1] < duals[0]
@@ -479,7 +483,7 @@ class TestReferenceKernels:
         pv = refelem.eval_basis(pair[1], rule.points).values
         ns, np_ = v.n_scalar, w.n_scalar
         k = _scatter(np.einsum("tq,tqia,tqja->tij", wq, g, g), v.cell_dofs, v.cell_dofs, (ns, ns))
-        assert _close(sys.A, 0.7 * sp.block_diag([k, k], format="csr"))
+        assert _close(sys.A, 0.7 * k)  # the block of each component
         b = sp.hstack(
             [
                 _scatter(np.einsum("tq,kq,tqi->tki", wq, pv, g[:, :, :, c]),
@@ -504,7 +508,7 @@ class TestReferenceKernels:
         c_loc = np.einsum("tq,iq,tqj->tij", wq, phi, wg)
         c = _scatter(c_loc, v.cell_dofs, v.cell_dofs, (v.n_scalar, v.n_scalar))
         skew = 0.5 * 1.3 * (c - c.T)
-        assert _close(n, sp.block_diag([skew, skew], format="csr"))
+        assert _close(n, skew)  # the block of each component
 
     @pytest.mark.parametrize("fam", ["NE0", "NE1"])
     def test_edge_mass_and_rhs(self, mesh, rules, fam):

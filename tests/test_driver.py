@@ -228,7 +228,7 @@ class TestOseen:
         prob = driver.Problem(cfg)
         u, p, info = driver.oseen_ns(prob)
         energy = prm.eta * prob.grad_norm_u(u.coeffs) ** 2
-        work = float(prob.rhs_u @ u.coeffs)
+        work = float(prob.saddle.rhs_u @ u.coeffs)
         assert energy <= work * (1 + 1e-10)
         assert energy == pytest.approx(work, rel=1e-9)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ferrofem import fespace, mesh2d, refelem
 from ferrofem.fespace import FEField
@@ -177,3 +178,13 @@ class TestFEField:
         mids = MESH4.edge_midpoints()
         assert np.allclose(f.coeffs[: s.n_scalar], mids[:, 0])
         assert np.allclose(f.coeffs[s.n_scalar :], 10 + mids[:, 1])
+
+
+class TestComponentwise:
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_matches_block_diagonal_product_bitwise(self, components):
+        rng = np.random.default_rng(5)
+        a = sp.random(40, 40, density=0.2, format="csr", random_state=rng)
+        x = rng.standard_normal(components * 40)
+        blocks = sp.block_diag([a] * components, format="csr")
+        assert np.array_equal(fespace.componentwise(a, x), blocks @ x)

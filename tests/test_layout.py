@@ -53,3 +53,29 @@ def test_no_module_uses_another_modules_private_names():
     # a rule degree asks a public assembly function for the load vector
     found = [use for stem in MODULES for use in _cross_module_private_uses(PACKAGE / f"{stem}.py")]
     assert found == []
+
+
+def _block_diag_uses(path: Path) -> list:
+    """Every reference to ``block_diag`` in one file: called, imported or aliased."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "block_diag":
+            found.append(f"{path.name}:{getattr(node, 'lineno', '?')} uses block_diag")
+    return found
+
+
+def test_no_module_builds_block_diagonal_matrices():
+    # a vector operator that acts on each component alike is stored as its
+    # one scalar block and applied per component (fespace.componentwise);
+    # a doubled matrix would be a second representation of the same operator
+    found = [use for stem in MODULES for use in _block_diag_uses(PACKAGE / f"{stem}.py")]
+    assert found == []

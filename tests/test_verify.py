@@ -312,6 +312,21 @@ class TestBattery:
         b4 = verify.infsup_constant("l0", 4)
         b8 = verify.infsup_constant("l0", 8)
         assert 0.4 < b8 < b4 < 0.7
+        # the battery's constants, each as printed (6 decimals) and to 1e-6
+        # relative of its full value (the printed l1 ones round off by more):
+        # a wrong coupling of the two components' Schur terms moves them by
+        # less than the loose bounds above can see
+        pinned = {  # (printed, full value) at each battery level
+            "l0": [("0.657044", 0.6570439940), ("0.577339", 0.5773393374),
+                   ("0.528196", 0.5281962050)],
+            "l1": [("0.366939", 0.3669394929), ("0.365896", 0.3658958570),
+                   ("0.365444", 0.3654436465)],
+        }
+        for pair, values in pinned.items():
+            for n, (printed, beta) in zip(verify.INFSUP_LEVELS, values):
+                got = verify.infsup_constant(pair, n)
+                assert f"{got:.6f}" == printed
+                assert got == pytest.approx(beta, rel=1e-6)
 
     def test_stability_check_warm_starts_oseen_sweeps(self, monkeypatch):
         counts = []

@@ -120,8 +120,9 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: invalid value {value!r} for {key!r}: {exc}"
             ) from exc
         key_line[key] = lineno
-    if cfg.pair not in ("l0", "l1"):
-        raise ConfigError(f"pair must be 'l0' or 'l1', got {cfg.pair!r}")
+    if cfg.pair not in driver.PAIRS:
+        names = " or ".join(map(repr, driver.PAIRS))
+        raise ConfigError(f"pair must be {names}, got {cfg.pair!r}")
     max_bump = assembly.max_quad_bump(driver.PAIRS[cfg.pair][0])
     if not 0 <= cfg.quad_bump <= max_bump:
         raise ConfigError(
@@ -240,9 +241,9 @@ def cmd_table(config: RunConfig) -> int:
     return 0 if failed_at is None else 1
 
 
-def cmd_check(seed: int = 42, quick: bool = False) -> int:
+def cmd_check(seed: int = 42) -> int:
     """Run the property battery; one PASS/FAIL line per invariant."""
-    results = verify.run_property_battery(seed=seed, quick=quick)
+    results = verify.run_property_battery(seed=seed)
     n_fail = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
@@ -280,8 +281,6 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="run the property battery")
     p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--quick", action="store_true",
-                         help="smaller meshes and sample counts")
 
     args = parser.parse_args(argv)
     try:
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
         if args.command == "table":
             return cmd_table(_load_config(args.config))
         if args.command == "check":
-            return cmd_check(seed=args.seed, quick=args.quick)
+            return cmd_check(seed=args.seed)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

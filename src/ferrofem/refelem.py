@@ -135,52 +135,19 @@ def quadrature(degree: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class ElementFamily:
-    """Static description of one reference element family.
+    """Local dof count of one reference family, and whether it is a vector (edge) family."""
 
-    ``dof_entities`` lists, per local dof, the mesh entity carrying it as
-    ``(kind, index, slot)`` with kind in {"vertex", "edge", "cell"}.
-    ``edge_flip`` marks dofs whose functional changes sign when the edge
-    orientation is reversed (tangential circulations).
-    """
-
-    name: str
     n_dofs: int
     vector: bool
-    dofs_per_edge: int
-    dof_entities: tuple
-    edge_flip: tuple
-
-
-def _entities_vertex_then_edge(n_edge_slots):
-    ents = [("vertex", i, 0) for i in range(3)]
-    for k in range(3):
-        for s in range(n_edge_slots):
-            ents.append(("edge", k, s))
-    return tuple(ents)
 
 
 FAMILIES = {
-    "P0": ElementFamily("P0", 1, False, 0, (("cell", 0, 0),), (False,)),
-    "P1": ElementFamily(
-        "P1", 3, False, 0, tuple(("vertex", i, 0) for i in range(3)), (False,) * 3
-    ),
-    "P2": ElementFamily(
-        "P2", 6, False, 1, _entities_vertex_then_edge(1), (False,) * 6
-    ),
-    "CR": ElementFamily(
-        "CR", 3, False, 1, tuple(("edge", k, 0) for k in range(3)), (False,) * 3
-    ),
-    "NE0": ElementFamily(
-        "NE0", 3, True, 1, tuple(("edge", k, 0) for k in range(3)), (True,) * 3
-    ),
-    "NE1": ElementFamily(
-        "NE1",
-        6,
-        True,
-        2,
-        tuple(("edge", k, s) for k in range(3) for s in (0, 1)),
-        (True, False) * 3,
-    ),
+    "P0": ElementFamily(1, False),
+    "P1": ElementFamily(3, False),
+    "P2": ElementFamily(6, False),
+    "CR": ElementFamily(3, False),
+    "NE0": ElementFamily(3, True),
+    "NE1": ElementFamily(6, True),
 }
 
 

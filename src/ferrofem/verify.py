@@ -108,8 +108,8 @@ def _flow_fields():
     return u, grad_u, lap_u, p, grad_p
 
 
-def case_2d_l0() -> ManufacturedCase:
-    """Lowest-order verification case: polynomial potential, unit parameters."""
+def case_2d_l0(params: MaterialParams | None = None) -> ManufacturedCase:
+    """Lowest-order verification case: polynomial potential, unit parameters by default."""
     u, grad_u, lap_u, p, grad_p = _flow_fields()
 
     def phi(pts):
@@ -132,7 +132,7 @@ def case_2d_l0() -> ManufacturedCase:
 
     return ManufacturedCase(
         name="l0-unit-square",
-        params=MaterialParams(),
+        params=params or MaterialParams(),
         phi=phi,
         grad_phi=grad_phi,
         hess_phi=hess_phi,
@@ -144,12 +144,12 @@ def case_2d_l0() -> ManufacturedCase:
     )
 
 
-def case_2d_l1() -> ManufacturedCase:
+def case_2d_l1(params: MaterialParams | None = None) -> ManufacturedCase:
     """Smooth higher-order case: trigonometric potential, same flow family.
 
     The potential amplitude keeps |grad phi| of the same size as in the
     lowest-order case so the magnetization law is exercised away from both
-    of its asymptotes.
+    of its asymptotes. Unit parameters by default.
     """
     u, grad_u, lap_u, p, grad_p = _flow_fields()
     pi = np.pi
@@ -175,7 +175,7 @@ def case_2d_l1() -> ManufacturedCase:
 
     return ManufacturedCase(
         name="l1-unit-square",
-        params=MaterialParams(),
+        params=params or MaterialParams(),
         phi=phi,
         grad_phi=grad_phi,
         hess_phi=hess_phi,
@@ -357,9 +357,7 @@ class StudyError(RuntimeError):
 
 
 def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> StudyRow:
-    case = CASES[pair]()
-    if params is not None:
-        case = ManufacturedCase(**{**case.__dict__, "params": params})
+    case = CASES[pair](params)
     cfg = FhdConfig(
         n=n,
         pair=pair,
@@ -471,6 +469,14 @@ def solution_distance(a: driver.FhdSolution, b: driver.FhdSolution) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the battery's sizes; like the inf-sup level window, part of the criteria
+PROPERTY_N = 8  # mesh of the form-bound, skew and stability checks
+PROPERTY_SAMPLES = 100  # random fields (form bounds) and vector pairs (skew)
+COMMUTING_N = 5
+INFSUP_LEVELS = (4, 8, 16)
+CR_KERNEL_N = 4
+
+
 @dataclass(frozen=True)
 class PropertyResult:
     name: str
@@ -482,16 +488,11 @@ def _result(name, passed, detail):
     return PropertyResult(name, bool(passed), detail)
 
 
-def check_material_bounds(alpha_fn=None) -> list:
-    """Langevin-coefficient bounds: 1 < alpha <= 1 + gamma*Ms/3, 0 < beta' <= Ms.
-
-    ``alpha_fn`` substitutes the diffusion coefficient for negative-control
-    tests.
-    """
+def check_material_bounds() -> list:
+    """Langevin-coefficient bounds: 1 < alpha <= 1 + gamma*Ms/3, 0 < beta' <= Ms."""
     params = MaterialParams()
-    alpha_fn = alpha_fn or material.alpha
     xs = np.logspace(-12, 6, 1000)
-    a = alpha_fn(xs, params)
+    a = material.alpha(xs, params)
     upper = 1.0 + params.gamma * params.Ms / 3.0
     res = [
         _result(
@@ -517,41 +518,33 @@ def check_material_bounds(alpha_fn=None) -> list:
 
 
 def check_branch_crossovers() -> list:
-    """Series and closed-form branches agree near both switch thresholds."""
-    res = []
-    ys = np.linspace(0.5e-2, 2e-2, 41)
-    series = ys / 3.0 - ys**3 / 45.0 + 2.0 * ys**5 / 945.0
-    closed = 1.0 / np.tanh(ys) - 1.0 / ys
-    gap_small = np.abs(series - closed).max()
-    ls_series = ys * ys / 6.0 - ys**4 / 180.0
-    ls_closed = np.log(np.sinh(ys) / ys)
-    gap_beta = np.abs(ls_series - ls_closed).max()
-    yl = np.linspace(25.0, 35.0, 41)
-    coth_closed = 1.0 / np.tanh(yl)
-    coth_exp = 1.0 + 2.0 * np.exp(-2 * yl) / (1.0 - np.exp(-2 * yl))
-    gap_large = np.abs(coth_closed - coth_exp).max()
-    sinh_closed = np.log(np.sinh(yl))
-    sinh_exp = yl - np.log(2.0) + np.log1p(-np.exp(-2 * yl))
-    gap_sinh = np.abs(sinh_closed - sinh_exp).max()
-    gap = max(gap_small, gap_beta, gap_large, gap_sinh)
-    res.append(
-        _result("branch-crossover", gap <= 1e-12, f"max branch gap {gap:.3e}")
+    """The material law's branches match the closed forms across both switches.
+
+    The two windows straddle the series switch (y = 1e-2) and the
+    exp-identity switch (y = 30). There the closed forms coth y - 1/y and
+    ln(sinh y / y) are accurate to ~3e-14, so a wrong branch shows as a gap.
+    """
+    params = MaterialParams()  # gamma = Ms = 1: beta(y) = ln(sinh y / y)
+    ys = np.concatenate([np.linspace(0.5e-2, 2e-2, 41), np.linspace(25.0, 35.0, 41)])
+    gap = max(
+        np.abs(material.langevin(ys) - (1.0 / np.tanh(ys) - 1.0 / ys)).max(),
+        np.abs(material.beta(ys, params) - np.log(np.sinh(ys) / ys)).max(),
     )
-    return res
+    return [_result("branch-crossover", gap <= 1e-12, f"max branch gap {gap:.3e}")]
 
 
-def check_form_bounds(seed: int = 42, n: int = 8, n_fields: int = 100) -> list:
+def check_form_bounds(seed: int = 42) -> list:
     """Coercivity/continuity of the weighted form on random discrete fields."""
     rng = np.random.default_rng(seed)
     params = MaterialParams()
-    mesh = mesh2d.build_uniform_square(n)
+    mesh = mesh2d.build_uniform_square(PROPERTY_N)
     s = fespace.build_space(mesh, "P1")
     k1 = assembly.assemble_weighted_stiffness(s)
     c1 = 1.0 + params.gamma * params.Ms / 3.0
     coercive = True
     continuous = True
     worst_c, worst_b = 0.0, np.inf
-    for _ in range(n_fields):
+    for _ in range(PROPERTY_SAMPLES):
         w = FEField(s, rng.standard_normal(s.n_dofs))
         a_w = assembly.assemble_weighted_stiffness(s, w, params)
         x = rng.standard_normal(s.n_dofs)
@@ -572,10 +565,10 @@ def check_form_bounds(seed: int = 42, n: int = 8, n_fields: int = 100) -> list:
     ]
 
 
-def check_convection_skew(seed: int = 42, n: int = 8, n_triples: int = 100) -> list:
+def check_convection_skew(seed: int = 42) -> list:
     """Exact skew-symmetry of the convection matrix and b(w; v, v) = 0."""
     rng = np.random.default_rng(seed)
-    mesh = mesh2d.build_uniform_square(n)
+    mesh = mesh2d.build_uniform_square(PROPERTY_N)
     v_space = fespace.build_space(mesh, "CR", components=2)
     worst_sym, worst_diag = 0.0, 0.0
     for _ in range(10):
@@ -584,7 +577,7 @@ def check_convection_skew(seed: int = 42, n: int = 8, n_triples: int = 100) -> l
         scale = max(abs(nmat).max(), 1.0)
         asym = abs(nmat + nmat.T)
         worst_sym = max(worst_sym, (asym.max() / scale) if asym.nnz else 0.0)
-        for _ in range(n_triples // 10):
+        for _ in range(PROPERTY_SAMPLES // 10):
             v = rng.standard_normal(v_space.n_dofs)
             u = rng.standard_normal(v_space.n_dofs)
             nv = fespace.componentwise(nmat, v)
@@ -608,10 +601,10 @@ def project_gradient(phi: FEField, edge_space: fespace.FESpace) -> FEField:
     return FEField(edge_space, coeffs)
 
 
-def check_commuting_diagram(seed: int = 42, n: int = 5) -> list:
+def check_commuting_diagram(seed: int = 42) -> list:
     """Edge interpolation, inclusion and projection of gradients match G phi."""
     rng = np.random.default_rng(seed)
-    mesh = mesh2d.build_uniform_square(n)
+    mesh = mesh2d.build_uniform_square(COMMUTING_N)
     res = []
     # random cubic polynomial: exact for both interpolation quadratures
     c = rng.standard_normal(10)
@@ -629,7 +622,7 @@ def check_commuting_diagram(seed: int = 42, n: int = 5) -> list:
         gy = c[2] + c[4] * x + 2 * c[5] * y + c[7] * x * x + 2 * c[8] * x * y + 3 * c[9] * y * y
         return np.stack([gx, gy], axis=1)
 
-    for s_fam, u_fam in (("P1", "NE0"), ("P2", "NE1")):
+    for s_fam, u_fam, _, _ in driver.PAIRS.values():
         s = fespace.build_space(mesh, s_fam)
         u = fespace.build_space(mesh, u_fam)
         g = fespace.gradient_matrix(s, u)
@@ -659,7 +652,7 @@ def check_commuting_diagram(seed: int = 42, n: int = 5) -> list:
 
 def infsup_constant(pair: str, n: int) -> float:
     """Numerical inf-sup constant of the velocity/pressure pair at level n."""
-    v_fam, w_fam = ("CR", "P0") if pair == "l0" else ("P2", "P1")
+    _, _, v_fam, w_fam = driver.PAIRS[pair]
     mesh = mesh2d.build_uniform_square(n)
     v = fespace.build_space(mesh, v_fam, components=2)
     w = fespace.build_space(mesh, w_fam)
@@ -676,10 +669,6 @@ def infsup_constant(pair: str, n: int) -> float:
     return float(np.sqrt(max(eigs[1], 0.0)))
 
 
-INFSUP_LEVELS = (4, 8, 16)  # the level window is part of the criterion
-CR_KERNEL_N = 4
-
-
 def check_infsup() -> list:
     """Inf-sup constants stay bounded below under refinement.
 
@@ -691,7 +680,7 @@ def check_infsup() -> list:
     0.528, 0.499, settling near 0.50).
     """
     res = []
-    for pair in ("l0", "l1"):
+    for pair in driver.PAIRS:
         betas = [infsup_constant(pair, n) for n in INFSUP_LEVELS]
         drops = [1.0 - b2 / b1 for b1, b2 in zip(betas, betas[1:])]
         ok = drops[-1] <= 0.10 and all(
@@ -710,7 +699,7 @@ def check_infsup() -> list:
     return res
 
 
-def check_stability_bounds(n: int = 8) -> list:
+def check_stability_bounds() -> list:
     """Discrete energy bounds of the two solve chains (external-field mode).
 
     One sweep per call on one problem: factor and warm start carry over.
@@ -729,7 +718,7 @@ def check_stability_bounds(n: int = 8) -> list:
         return np.stack([np.sin(np.pi * pts[:, 1]), np.sin(np.pi * pts[:, 0])], axis=1)
 
     prob = driver.Problem(FhdConfig(
-        n=n, pair="l0", params=params, h_ext=h_ext, body_force=body_force,
+        n=PROPERTY_N, pair="l0", params=params, h_ext=h_ext, body_force=body_force,
         picard_iters=1, oseen_iters=1,
     ))
     he_norm = field_error(prob.U.zero_field(), h_ext)[1]  # L2 norm of H_e
@@ -777,15 +766,15 @@ def check_cr_kernel() -> list:
     ]
 
 
-def run_property_battery(seed: int = 42, quick: bool = False) -> list:
+def run_property_battery(seed: int = 42) -> list:
     """The full invariant battery; each entry prints one pass/fail line."""
-    results = []
-    results += check_material_bounds()
-    results += check_branch_crossovers()
-    results += check_form_bounds(seed, n=4 if quick else 8, n_fields=10 if quick else 100)
-    results += check_convection_skew(seed, n=4 if quick else 8, n_triples=20 if quick else 100)
-    results += check_commuting_diagram(seed, n=3 if quick else 5)
-    results += check_infsup()
-    results += check_stability_bounds(n=4 if quick else 8)
-    results += check_cr_kernel()
-    return results
+    return [
+        *check_material_bounds(),
+        *check_branch_crossovers(),
+        *check_form_bounds(seed),
+        *check_convection_skew(seed),
+        *check_commuting_diagram(seed),
+        *check_infsup(),
+        *check_stability_bounds(),
+        *check_cr_kernel(),
+    ]

@@ -140,14 +140,19 @@ class TestCommands:
         assert out.startswith(cli.CSV_HEADER)
         assert len(out.strip().split("\n")) == 2  # no orders with one level
 
-    def test_check_quick_passes(self, capsys):
-        assert cli.cmd_check(seed=42, quick=True) == 0
+    def test_check_passes(self, capsys):
+        assert cli.main(["check", "--seed", "42"]) == 0
         out = capsys.readouterr().out
         assert "PASS alpha-bounds" in out
         assert "FAIL" not in out
+        assert out.rstrip("\n").endswith("all 18 properties passed")
+        # one size: the battery has no reduced variant
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--quick"])
+        assert exc.value.code == 2
 
     def test_check_reports_failures(self, capsys, monkeypatch):
-        def broken(seed=42, quick=False):
+        def broken(seed=42):
             return [verify.PropertyResult("alpha-bounds", False, "forced")]
 
         monkeypatch.setattr(verify, "run_property_battery", broken)

@@ -205,7 +205,7 @@ class TestSchurSolve:
         # preconditioner stopped on its preconditioned residual while the
         # true one was still above tolerance
         prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
-        case = verify.ManufacturedCase(**{**verify.case_2d_l1().__dict__, "params": prm})
+        case = verify.case_2d_l1(prm)
         cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=1)
         _, _, info = driver.oseen_ns(driver.Problem(cfg))
         assert [r.status for r in info["reports"]] == ["ok", "ok"]
@@ -230,7 +230,7 @@ class TestSchurSolve:
     def test_warm_started_oseen_sweeps_total_iterations(self):
         # six sweeps of the l1 nonlinear study; cold starts need ~300
         prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
-        case = verify.ManufacturedCase(**{**verify.case_2d_l1().__dict__, "params": prm})
+        case = verify.case_2d_l1(prm)
         cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=6)
         _, _, info = driver.oseen_ns(driver.Problem(cfg))
         sweeps = info["reports"][1:]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrofem import driver, fespace, mesh2d, refelem, verify
+from ferrofem import driver, fespace, material, mesh2d, refelem, verify
 
 
 class TestManufacturedCases:
@@ -298,15 +298,24 @@ class TestJitteredMeshes:
 
 
 class TestBattery:
-    def test_negative_control_broken_alpha_fails(self):
-        def clipped_alpha(x, params):
-            import ferrofem.material as mat
-
-            return np.minimum(mat.alpha(x, params), 1.0)
-
-        results = verify.check_material_bounds(alpha_fn=clipped_alpha)
-        by_name = {r.name: r for r in results}
+    def test_negative_control_broken_alpha_fails(self, monkeypatch):
+        real = material.alpha
+        monkeypatch.setattr(
+            material, "alpha", lambda x, params: np.minimum(real(x, params), 1.0)
+        )
+        by_name = {r.name: r for r in verify.check_material_bounds()}
         assert not by_name["alpha-bounds"].passed
+
+    def test_negative_control_broken_langevin_branch_fails(self, monkeypatch):
+        # a 1% error on the series side of the small-y switch only
+        real = material.langevin
+        monkeypatch.setattr(
+            material, "langevin",
+            lambda y: np.where(np.asarray(y) < 1e-2, 1.01, 1.0) * real(y),
+        )
+        [result] = verify.check_branch_crossovers()
+        assert result.name == "branch-crossover"
+        assert not result.passed
 
     def test_infsup_constant_positive_and_stable(self):
         b4 = verify.infsup_constant("l0", 4)
@@ -338,15 +347,10 @@ class TestBattery:
             return u, p, report
 
         monkeypatch.setattr(driver.linalg, "solve_saddle", counting)
-        results = verify.check_stability_bounds(n=8)
+        results = verify.check_stability_bounds()
         assert [r.name for r in results if r.passed] == [
             "stability-potential", "stability-velocity-energy"
         ]
         # Stokes seed plus three sweeps; 18 + 3 * 22 = 84 when each sweep
         # started from p = 0
         assert len(counts) == 4 and sum(counts) <= 50
-
-    def test_quick_battery_all_pass(self):
-        results = verify.run_property_battery(seed=42, quick=True)
-        failed = [r.name for r in results if not r.passed]
-        assert failed == []

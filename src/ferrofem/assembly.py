@@ -8,10 +8,9 @@ which sums duplicates deterministically. Sparse storage is scipy CSR.
 
 Quadrature policy, decided here alone: terms with polynomial integrands
 use a rule exact for the integrand; terms carrying the non-polynomial
-Langevin coefficients or pointwise data add ``quad_bump`` (default +2,
-at most :func:`max_quad_bump`) to the polynomial part's degree. Mass
-matrices and projection loads share one degree per space, a load taking
-that of the space its data lives on.
+Langevin coefficients or pointwise data add ``QUAD_BUMP`` degrees to the
+polynomial part's. Mass matrices and projection loads share one degree per
+space, a load taking that of the space its data lives on.
 
 Load data is a callable on (n, 2) physical points or a pair
 ``(field, transform)``: the field's point values (a scalar field's
@@ -33,19 +32,14 @@ from .material import MaterialParams
 # potential space whose gradients it holds (P1 -> NE0, P2 -> NE1)
 _POLY_DEG = {"P0": 0, "P1": 1, "P2": 2, "CR": 1, "NE0": 1, "NE1": 2}
 
+# extra rule degrees for non-polynomial integrands and pointwise data; every
+# rule it yields is stocked (the largest, the P2 force load's, is degree 8)
+QUAD_BUMP = 2
 
-def _l2_degree(space: FESpace, quad_bump: int = 0) -> int:
-    """Rule degree of L2 products on ``space``: its mass degree plus ``quad_bump``."""
-    return min(refelem.MAX_DEGREE, max(1, 2 * _POLY_DEG[space.family] + quad_bump))
 
-
-def max_quad_bump(family: str) -> int:
-    """Largest ``quad_bump`` the stocked rules allow for a potential ``family``.
-
-    The nonlinear stiffness integrates at degree 2(k-1) + quad_bump for
-    potential degree k, and no stocked rule goes beyond ``MAX_DEGREE``.
-    """
-    return refelem.MAX_DEGREE - 2 * (_POLY_DEG[family] - 1)
+def _l2_degree(space: FESpace, bump: int = 0) -> int:
+    """Rule degree of L2 products on ``space``: its mass degree plus ``bump``."""
+    return max(1, 2 * _POLY_DEG[space.family] + bump)
 
 
 def _source(src, mesh, rule) -> np.ndarray:
@@ -62,10 +56,10 @@ def _source(src, mesh, rule) -> np.ndarray:
     return vals.reshape((mesh.n_triangles, rule.n_points) + vals.shape[1:])
 
 
-def _load_rule(space: FESpace, src, quad_bump: int):
+def _load_rule(space: FESpace, src):
     """Rule of a projection load onto ``space``, set by the space of its data."""
     data_space = src[0].space if isinstance(src, tuple) else space
-    return refelem.quadrature(_l2_degree(data_space, quad_bump))
+    return refelem.quadrature(_l2_degree(data_space, QUAD_BUMP))
 
 
 def _scatter_matrix(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
@@ -120,7 +114,7 @@ def _pairing_load(space: FESpace, tab, table, data) -> np.ndarray:
 
 
 def assemble_weighted_stiffness(
-    space: FESpace, w=None, params: MaterialParams | None = None, quad_bump: int = 2
+    space: FESpace, w=None, params: MaterialParams | None = None
 ) -> sp.csr_matrix:
     """Stiffness matrix of the form int alpha(|grad w|) grad(phi).grad(tau).
 
@@ -131,7 +125,7 @@ def assemble_weighted_stiffness(
     """
     if space.components != 1 or space.is_edge_family:
         raise ValueError("weighted stiffness expects a scalar Lagrange space")
-    deg = max(1, 2 * (_POLY_DEG[space.family] - 1) + (0 if w is None else quad_bump))
+    deg = max(1, 2 * (_POLY_DEG[space.family] - 1) + (0 if w is None else QUAD_BUMP))
     rule = refelem.quadrature(deg)
     tab = fespace.tabulate(space, rule)
     coeff = None
@@ -143,17 +137,15 @@ def assemble_weighted_stiffness(
     return _gram(space, tab, tab.grads, coeff)
 
 
-def _flux_load(space: FESpace, src, flux, quad_bump: int) -> np.ndarray:
+def _flux_load(space: FESpace, src, flux) -> np.ndarray:
     """Load vector tau -> int flux(v) . grad(tau) for the vector data ``v`` of ``src``."""
-    rule = refelem.quadrature(min(refelem.MAX_DEGREE, 2 + _POLY_DEG[space.family] + quad_bump))
+    rule = refelem.quadrature(2 + _POLY_DEG[space.family] + QUAD_BUMP)
     tab = fespace.tabulate(space, rule)
     data = flux(_source(src, space.mesh, rule)) * _dx(space.mesh, rule)[:, :, None]
     return _pairing_load(space, tab, tab.grads, data)
 
 
-def elliptic_rhs_manufactured(
-    space: FESpace, grad_phi, params: MaterialParams, quad_bump: int = 2
-) -> np.ndarray:
+def elliptic_rhs_manufactured(space: FESpace, grad_phi, params: MaterialParams) -> np.ndarray:
     """Load vector tau -> int alpha(|grad phi|) grad(phi).grad(tau).
 
     This is the weak residual of the exact potential, which equals -(g, tau)
@@ -163,14 +155,12 @@ def elliptic_rhs_manufactured(
     def flux(g):
         return material.alpha(np.sqrt((g * g).sum(axis=-1)), params)[:, :, None] * g
 
-    return _flux_load(space, grad_phi, flux, quad_bump)
+    return _flux_load(space, grad_phi, flux)
 
 
-def elliptic_rhs_external(
-    space: FESpace, h_ext, params: MaterialParams, quad_bump: int = 2
-) -> np.ndarray:
+def elliptic_rhs_external(space: FESpace, h_ext, params: MaterialParams) -> np.ndarray:
     """Load vector tau -> (1/mu0) int H_e . grad(tau) for an applied field."""
-    return _flux_load(space, h_ext, lambda h: h / params.mu0, quad_bump)
+    return _flux_load(space, h_ext, lambda h: h / params.mu0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +175,13 @@ def assemble_edge_mass(space: FESpace) -> sp.csr_matrix:
     return _gram(space, tab, tab.values)
 
 
-def assemble_edge_rhs(space: FESpace, src, quad_bump: int = 2) -> np.ndarray:
+def assemble_edge_rhs(space: FESpace, src) -> np.ndarray:
     """Load vector F -> int v . F for the edge-space L2 projections.
 
     ``src`` gives the vector data ``v`` (see the module docstring), e.g. the
     magnetization law applied to the recovered magnetic field.
     """
-    rule = _load_rule(space, src, quad_bump)
+    rule = _load_rule(space, src)
     tab = fespace.tabulate(space, rule)
     vals = _source(src, space.mesh, rule) * _dx(space.mesh, rule)[:, :, None]
     return _pairing_load(space, tab, tab.values, vals)
@@ -206,13 +196,13 @@ def assemble_scalar_mass(space: FESpace) -> sp.csr_matrix:
     return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
 
 
-def assemble_scalar_rhs(space: FESpace, src, quad_bump: int = 2) -> np.ndarray:
+def assemble_scalar_rhs(space: FESpace, src) -> np.ndarray:
     """Load vector chi -> int f chi against a scalar space.
 
     ``src`` gives the scalar data ``f`` (see the module docstring), e.g. the
-    pressure potential beta(|H|) of the recovered magnetic field.
+    pressure potential beta(|H|) - beta(0) of the recovered magnetic field.
     """
-    rule = _load_rule(space, src, quad_bump)
+    rule = _load_rule(space, src)
     tab = fespace.tabulate(space, rule)
     vals = _source(src, space.mesh, rule) * _dx(space.mesh, rule)
     return _scatter_vector(vals @ tab.values.T, space.cell_dofs, space.n_scalar)
@@ -318,11 +308,11 @@ def assemble_convection(v_space: FESpace, w_field: FEField, rho: float) -> sp.cs
 def assemble_ns_rhs(v_space: FESpace, f) -> np.ndarray:
     """Load vector v -> int f . v with f evaluated pointwise.
 
-    ``f`` maps (n, 2) points to (n, 2) force values; the rule adds two
-    degrees over the pair's polynomial terms to resolve smooth data.
+    ``f`` maps (n, 2) points to (n, 2) force values; the rule adds
+    ``QUAD_BUMP`` degrees over the pair's polynomial terms to resolve smooth
+    data.
     """
-    deg = min(refelem.MAX_DEGREE, _stokes_quad_degree(v_space.family) + 2)
-    rule = refelem.quadrature(deg)
+    rule = refelem.quadrature(_stokes_quad_degree(v_space.family) + QUAD_BUMP)
     tab = fespace.tabulate(v_space, rule)
     mesh = v_space.mesh
     fv = _source(f, mesh, rule) * _dx(mesh, rule)[:, :, None]

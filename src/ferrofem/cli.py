@@ -20,7 +20,7 @@ import resource
 import sys
 from dataclasses import dataclass
 
-from . import assembly, driver, verify
+from . import driver, verify
 from .material import MaterialParams
 
 DEFAULT_LEVELS = (4, 8, 16, 32, 64, 128)
@@ -36,7 +36,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    study: str = "uniform-square"
     pair: str = "l0"
     levels: tuple = DEFAULT_LEVELS
     mu0: float = 1.0
@@ -47,9 +46,6 @@ class RunConfig:
     eta: float = 1.0
     picard_iters: int = 2
     oseen_iters: int = 2
-    quad_bump: int = 2
-    out_csv: str = "study.csv"
-    out_json: str = "study.json"
 
     def material_params(self) -> MaterialParams:
         return MaterialParams(mu0=self.mu0, Ms=self.Ms, gamma=self.gamma, chi0=self.chi0,
@@ -71,14 +67,7 @@ def _parse_levels(text: str):
     return levels
 
 
-def _parse_study(text: str) -> str:
-    if text != "uniform-square":
-        raise ConfigError(f"study must be 'uniform-square', got {text!r}")
-    return text
-
-
 _PARSERS = {
-    "study": _parse_study,
     "pair": str,
     "levels": _parse_levels,
     "mu0": float,
@@ -89,16 +78,12 @@ _PARSERS = {
     "eta": float,
     "picard_iters": int,
     "oseen_iters": int,
-    "quad_bump": int,
-    "out_csv": str,
-    "out_json": str,
 }
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat ``key = value`` config format with line-numbered errors."""
     cfg = RunConfig()
-    key_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,16 +104,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: invalid value {value!r} for {key!r}: {exc}"
             ) from exc
-        key_line[key] = lineno
     if cfg.pair not in driver.PAIRS:
         names = " or ".join(map(repr, driver.PAIRS))
         raise ConfigError(f"pair must be {names}, got {cfg.pair!r}")
-    max_bump = assembly.max_quad_bump(driver.PAIRS[cfg.pair][0])
-    if not 0 <= cfg.quad_bump <= max_bump:
-        raise ConfigError(
-            f"line {key_line['quad_bump']}: quad_bump must be in [0, {max_bump}] "
-            f"for pair {cfg.pair!r}, got {cfg.quad_bump}"
-        )
     for name in ("picard_iters", "oseen_iters"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
@@ -174,7 +152,6 @@ def report_to_json(config: RunConfig, report: verify.StudyReport,
                    failed_at: int | None = None) -> dict:
     params = config.material_params()
     doc = {
-        "study": config.study,
         "pair": config.pair,
         "levels": [row.n for row in report.rows],
         "params": {
@@ -183,7 +160,6 @@ def report_to_json(config: RunConfig, report: verify.StudyReport,
         },
         "picard_iters": config.picard_iters,
         "oseen_iters": config.oseen_iters,
-        "quad_bump": config.quad_bump,
         "rows": [
             {
                 "N": row.n,
@@ -214,7 +190,6 @@ def _run_study(config: RunConfig):
             params=config.material_params(),
             picard_iters=config.picard_iters,
             oseen_iters=config.oseen_iters,
-            quad_bump=config.quad_bump,
         )
     except verify.StudyError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -222,13 +197,13 @@ def _run_study(config: RunConfig):
     return report, None
 
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(config: RunConfig, out_csv: str, out_json: str) -> int:
     """Execute the study and write the CSV/JSON reports. Exit 0 on success."""
     report, failed_at = _run_study(config)
     csv_text = format_csv(report, failed_at)
-    with open(config.out_csv, "w") as fh:
+    with open(out_csv, "w") as fh:
         fh.write(csv_text)
-    with open(config.out_json, "w") as fh:
+    with open(out_json, "w") as fh:
         json.dump(report_to_json(config, report, failed_at), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0 if failed_at is None else 1
@@ -273,8 +248,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a study and write CSV/JSON reports")
     p_run.add_argument("--config", default=None, help="flat key = value config file")
-    p_run.add_argument("--out-csv", default=None)
-    p_run.add_argument("--out-json", default=None)
+    p_run.add_argument("--out-csv", default="study.csv")
+    p_run.add_argument("--out-json", default="study.json")
 
     p_table = sub.add_parser("table", help="run a study and print the CSV table")
     p_table.add_argument("--config", default=None)
@@ -285,12 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            config = _load_config(args.config)
-            if args.out_csv:
-                config.out_csv = args.out_csv
-            if args.out_json:
-                config.out_json = args.out_json
-            return cmd_run(config)
+            return cmd_run(_load_config(args.config), args.out_csv, args.out_json)
         if args.command == "table":
             return cmd_table(_load_config(args.config))
         if args.command == "check":

@@ -58,7 +58,6 @@ class FhdConfig:
     params: MaterialParams = dc_field(default_factory=MaterialParams)
     picard_iters: int = 2
     oseen_iters: int = 2
-    quad_bump: int = 2
     case: object | None = None
     h_ext: object | None = None
     body_force: object | None = None
@@ -67,12 +66,6 @@ class FhdConfig:
     def __post_init__(self):
         if self.pair not in PAIRS:
             raise ValueError(f"unknown element pair {self.pair!r}")
-        max_bump = assembly.max_quad_bump(PAIRS[self.pair][0])
-        if not 0 <= self.quad_bump <= max_bump:
-            raise ValueError(
-                f"quad_bump must be in [0, {max_bump}] for pair {self.pair!r}, "
-                f"got {self.quad_bump}"
-            )
         if self.picard_iters < 1 or self.oseen_iters < 1:
             raise ValueError("iteration counts must be >= 1")
         if (self.case is None) == (self.h_ext is None):
@@ -114,15 +107,13 @@ class Problem:
         self.saddle = assembly.assemble_stokes_blocks(self.V, self.W, cfg.params.eta)
         if cfg.case is not None:
             self.rhs_phi = assembly.elliptic_rhs_manufactured(
-                self.S, cfg.case.grad_phi, cfg.params, cfg.quad_bump
+                self.S, cfg.case.grad_phi, cfg.params
             )
             f = cfg.case.f
             uex = fespace.interpolate_nodal(self.V, cfg.case.u)
             self.saddle.g = np.where(self.V.free_mask, 0.0, uex.coeffs)
         else:
-            self.rhs_phi = assembly.elliptic_rhs_external(
-                self.S, cfg.h_ext, cfg.params, cfg.quad_bump
-            )
+            self.rhs_phi = assembly.elliptic_rhs_external(self.S, cfg.h_ext, cfg.params)
             f = cfg.body_force
         if f is not None:
             self.saddle.rhs_u = assembly.assemble_ns_rhs(self.V, f)
@@ -171,9 +162,7 @@ def picard_elliptic(prob: Problem, phi0: FEField | None = None):
     phi = phi0
     updates = []
     for _ in range(cfg.picard_iters):
-        a_mat = assembly.assemble_weighted_stiffness(
-            prob.S, phi, cfg.params, cfg.quad_bump
-        )
+        a_mat = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.params)
         phi_next, report = _solve_elliptic(prob, a_mat, phi)
         reports.append(report)
         updates.append(prob.grad_norm_phi(phi_next.coeffs - phi.coeffs))
@@ -217,28 +206,31 @@ def recover_fields(
     """Steps 3-5: magnetic field, magnetization, pressure potential, pressure.
 
     H rides the coefficient identity H = G phi (exactly curl-free). M and psi
-    are L2 projections of M(H) and beta(|H|), whose loads and quadrature
-    come from :mod:`assembly`. Every mass matrix is solved by Jacobi-
-    preconditioned CG; the stage factors nothing.
+    are L2 projections of M(H) and beta(|H|) - beta(0), whose loads and
+    quadrature come from :mod:`assembly`: psi is the pressure potential
+    relative to zero field. The constant beta(0) = Ms ln(gamma) / gamma
+    would only be shifted out of p with its mean, and at small gamma it is
+    large enough to swamp p_tilde in the sum. Every mass matrix is solved by
+    Jacobi-preconditioned CG; the stage factors nothing.
     """
-    cfg = prob.cfg
-    params = cfg.params
+    params = prob.cfg.params
     reports = {}
 
     H = FEField(prob.U, prob.G @ phi.coeffs)
 
     mass_u = assembly.assemble_edge_mass(prob.U)
     rhs_m = assembly.assemble_edge_rhs(
-        prob.U, (H, lambda vals: material.magnetization(vals, params)), cfg.quad_bump
+        prob.U, (H, lambda vals: material.magnetization(vals, params))
     )
     m_coeffs, reports["M"] = linalg.solve_spd(mass_u, rhs_m, "jacobi")
     M = FEField(prob.U, m_coeffs)
 
-    rhs_psi = assembly.assemble_scalar_rhs(
-        prob.W,
-        (H, lambda vals: material.beta(np.sqrt((vals * vals).sum(axis=-1)), params)),
-        cfg.quad_bump,
-    )
+    beta0 = material.beta(0.0, params)
+
+    def psi_data(vals):
+        return material.beta(np.sqrt((vals * vals).sum(axis=-1)), params) - beta0
+
+    rhs_psi = assembly.assemble_scalar_rhs(prob.W, (H, psi_data))
     mass_w = assembly.assemble_scalar_mass(prob.W)
     psi_coeffs, reports["psi"] = linalg.solve_spd(mass_w, rhs_psi, "jacobi")
     psi = FEField(prob.W, psi_coeffs)

@@ -211,23 +211,22 @@ def _relative(err, ref):
     return err / ref if ref >= _DIV_GUARD else err
 
 
-def field_error(field: FEField, exact, part: str = "value", exact_curl=None,
-                quad=None, evals=None):
+def field_error(field: FEField, exact, part: str = "value", quad=None, evals=None):
     """Error and exact norm ``(err, ref)`` of one field in one norm.
 
     ``part`` picks the norm: "value" is the L2 norm, "grad" the H1 seminorm
     (element-wise for two-component fields), "hcurl" the H(curl) graph norm
-    of an edge field whose exact curl is ``exact_curl`` (zero when None).
-    ``exact`` and ``exact_curl`` are evaluators on an (n, 2) point array, or
-    ``exact`` holds their values at the rule's points already. ``quad``
-    (from ``_quadrature``) and ``evals`` (the field's ``eval_field`` output
-    at that rule) are built when not given.
+    of an edge field against a curl-free exact field (every H here is a
+    gradient). ``exact`` is an evaluator on an (n, 2) point array, or holds
+    its values at the rule's points already. ``quad`` (from ``_quadrature``)
+    and ``evals`` (the field's ``eval_field`` output at that rule) are built
+    when not given.
     """
     rule, points, w = quad or _quadrature(field.space.mesh)
     vals, second = evals or fespace.eval_field(field, fespace.tabulate(field.space, rule))
     terms = [(second if part == "grad" else vals, exact)]
     if part == "hcurl":
-        terms.append((second, exact_curl or (lambda pts: np.zeros(len(pts)))))
+        terms.append((second, np.zeros(second.shape)))
     err2 = ref2 = 0.0
     for approx, ex in terms:
         ex = np.asarray(ex(points) if callable(ex) else ex).reshape(approx.shape)
@@ -356,7 +355,7 @@ class StudyError(RuntimeError):
         self.cause = cause
 
 
-def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> StudyRow:
+def _solve_level(pair, n, params, picard_iters, oseen_iters) -> StudyRow:
     case = CASES[pair](params)
     cfg = FhdConfig(
         n=n,
@@ -364,7 +363,6 @@ def _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump) -> Study
         params=case.params,
         picard_iters=picard_iters,
         oseen_iters=oseen_iters,
-        quad_bump=quad_bump,
         case=case,
     )
     t0 = time.perf_counter()
@@ -418,7 +416,6 @@ def run_convergence_study(
     params: MaterialParams | None = None,
     picard_iters: int = 2,
     oseen_iters: int = 2,
-    quad_bump: int = 2,
 ) -> StudyReport:
     """One full solve per mesh level plus error norms and observed orders."""
     levels = list(levels)
@@ -427,9 +424,7 @@ def run_convergence_study(
     report = StudyReport(pair=pair, rows=[])
     for n in levels:
         try:
-            report.rows.append(
-                _solve_level(pair, n, params, picard_iters, oseen_iters, quad_bump)
-            )
+            report.rows.append(_solve_level(pair, n, params, picard_iters, oseen_iters))
         except (driver.StageError, linalg.SolverError) as exc:
             raise StudyError(report.finalize(), n, exc) from exc
     return report.finalize()

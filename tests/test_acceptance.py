@@ -144,9 +144,7 @@ class TestCriterion6Determinism:
         t0 = time.time()
         for tag in ("first", "second"):
             config = cli.RunConfig()
-            config.out_csv = str(tmp_path / f"{tag}.csv")
-            config.out_json = str(tmp_path / f"{tag}.json")
-            assert cli.cmd_run(config) == 0
+            assert cli.cmd_run(config, tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json") == 0
             outputs.append((tmp_path / f"{tag}.csv").read_bytes())
         lines = outputs[0].decode().strip().split("\n")
         assert len(lines) == 1 + 6 + 2  # header, six levels, two order footers

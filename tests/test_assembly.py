@@ -342,7 +342,7 @@ class TestNsRhs:
             prob = driver.Problem(driver.FhdConfig(n=n, pair="l0", case=case))
             ui = fespace.interpolate_nodal(prob.V, case.u)
             mw = assembly.assemble_scalar_mass(prob.W)
-            pi_rhs = assembly.assemble_scalar_rhs(prob.W, case.p_tilde, 6)
+            pi_rhs = assembly.assemble_scalar_rhs(prob.W, case.p_tilde)
             pi, _ = linalg.solve_spd(mw, pi_rhs, linalg.ReusedFactor())
             conv = assembly.assemble_convection(prob.V, ui, case.params.rho)
             visc = sp.block_diag([prob.saddle.A, prob.saddle.A], format="csr")

@@ -17,7 +17,6 @@ class TestParseConfig:
         assert cfg.levels == (4, 8, 16, 32, 64, 128)
         assert cfg.picard_iters == 2
         assert cfg.oseen_iters == 2
-        assert cfg.quad_bump == 2
         prm = cfg.material_params()
         assert (prm.mu0, prm.Ms, prm.gamma, prm.rho, prm.eta) == (1, 1, 1, 1, 1)
 
@@ -92,9 +91,7 @@ class TestCsvFormat:
 class TestCommands:
     def test_run_writes_csv_and_json(self, tmp_path):
         cfg = parse_config("levels = 4,8\n")
-        cfg.out_csv = str(tmp_path / "out.csv")
-        cfg.out_json = str(tmp_path / "out.json")
-        assert cli.cmd_run(cfg) == 0
+        assert cli.cmd_run(cfg, tmp_path / "out.csv", tmp_path / "out.json") == 0
         lines = (tmp_path / "out.csv").read_text().strip().split("\n")
         assert len(lines) == 5
         doc = json.loads((tmp_path / "out.json").read_text())
@@ -125,9 +122,7 @@ class TestCommands:
 
         monkeypatch.setattr(verify, "_solve_level", flaky)
         cfg = parse_config("levels = 4,8,16\n")
-        cfg.out_csv = str(tmp_path / "out.csv")
-        cfg.out_json = str(tmp_path / "out.json")
-        assert cli.cmd_run(cfg) == 1
+        assert cli.cmd_run(cfg, tmp_path / "out.csv", tmp_path / "out.json") == 1
         text = (tmp_path / "out.csv").read_text()
         assert "# FAILED at N=8" in text
         assert text.count("\n") >= 2  # header + the completed N=4 row
@@ -180,13 +175,14 @@ class TestMain:
     @pytest.mark.parametrize(
         "text, message",
         [
-            # degree 2 + 7 is above refelem.MAX_DEGREE = 8
-            ("pair = l1\nquad_bump = 7\n", "line 2: quad_bump must be in [0, 6]"),
-            ("quad_bump = -5\n", "line 1: quad_bump must be in [0, 8]"),
-            ("levels = 4\nstudy = bogus\n", "line 2: study must be 'uniform-square'"),
+            # the quadrature policy, the study and the output paths are not
+            # config keys
+            ("quad_bump = 2\n", "line 1: unknown key 'quad_bump'"),
+            ("levels = 4\nstudy = uniform-square\n", "line 2: unknown key 'study'"),
+            ("levels = 4\npair = l1\nout_csv = x.csv\n", "line 3: unknown key 'out_csv'"),
         ],
     )
-    def test_invalid_quad_bump_or_study_exits_2(self, tmp_path, capsys, text, message):
+    def test_removed_keys_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         assert cli.main(["run", "--config", str(path)]) == 2

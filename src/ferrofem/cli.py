@@ -18,7 +18,7 @@ import io
 import json
 import resource
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import driver, verify
 from .material import MaterialParams
@@ -57,8 +57,6 @@ def _parse_levels(text: str):
         levels = tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"invalid levels {text!r}: {exc}") from exc
-    if not levels:
-        raise ConfigError("levels must be nonempty")
     if any(n < 2 for n in levels):
         # N = 1 leaves the potential without a free dof
         raise ConfigError("levels must be at least 2")
@@ -150,14 +148,10 @@ def format_csv(report: verify.StudyReport, failed_at: int | None = None) -> str:
 
 def report_to_json(config: RunConfig, report: verify.StudyReport,
                    failed_at: int | None = None) -> dict:
-    params = config.material_params()
     doc = {
         "pair": config.pair,
         "levels": [row.n for row in report.rows],
-        "params": {
-            "mu0": params.mu0, "Ms": params.Ms, "gamma": params.gamma,
-            "chi0": params.chi0, "rho": params.rho, "eta": params.eta,
-        },
+        "params": asdict(config.material_params()),
         "picard_iters": config.picard_iters,
         "oseen_iters": config.oseen_iters,
         "rows": [

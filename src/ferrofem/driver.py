@@ -83,7 +83,6 @@ class FhdSolution:
     p_tilde: FEField
     psi: FEField
     p: FEField
-    B: FEField
     diagnostics: dict
 
 
@@ -240,15 +239,13 @@ def recover_fields(
     p_coeffs = p_coeffs - (prob.saddle.mean @ p_coeffs) / volume
     p = FEField(prob.W, p_coeffs)
 
-    B = FEField(prob.U, params.mu0 * (H.coeffs + M.coeffs))
-
     diagnostics = {
         "recovery_reports": reports,
         "grad_phi_norm": prob.grad_norm_phi(phi.coeffs),
         "grad_u_norm": prob.grad_norm_u(u.coeffs),
     }
     return FhdSolution(
-        phi=phi, H=H, M=M, u=u, p_tilde=p_tilde, psi=psi, p=p, B=B,
+        phi=phi, H=H, M=M, u=u, p_tilde=p_tilde, psi=psi, p=p,
         diagnostics=diagnostics,
     )
 
@@ -258,8 +255,6 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 def solve_fhd(cfg: FhdConfig) -> FhdSolution:

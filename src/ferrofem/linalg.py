@@ -6,8 +6,10 @@ factors its Poisson seed once per level and preconditions each
 frozen-coefficient Picard matrix with that factor (the
 coefficient is bounded, so the two are spectrally equivalent independently
 of h), and the recovery mass matrices use the Jacobi diagonal and factor
-nothing. Every solve verifies its own residual and returns a
-:class:`SolveReport`, which also carries the fill of the factor it used.
+nothing. Every solve verifies its own residual: a returned
+:class:`SolveReport` (residual, iteration count and the fill of the factor
+used) means the solve succeeded, and a failed one raises
+:class:`SolverError` with a message naming the failure.
 Every matrix factored here is structurally symmetric (the SPD potential
 matrices and the velocity block, whose sparsity convection does not change),
 so every factorization uses one fill-reducing ordering: minimum degree on
@@ -58,17 +60,12 @@ SCHUR_MAXITER = 200
 class SolverError(RuntimeError):
     """Raised when a factorization breaks down or the residual contract fails."""
 
-    def __init__(self, report: "SolveReport", msg: str):
-        super().__init__(msg)
-        self.report = report
-
 
 @dataclass(frozen=True)
 class SolveReport:
     residual_norm: float
     iterations: int  # Krylov iterations; 0 for a direct solve or a converged start
-    status: str  # "ok" | "singular" | "not_converged"
-    fill: int = 0  # nonzeros of the L and U factors used
+    fill: int  # nonzeros of the L and U factors used; 0 for Jacobi CG
 
 
 def _splu(a_csc):
@@ -115,17 +112,14 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, precond, x0=None):
     Returns ``(x, report)`` with a relative residual below :data:`SPD_RTOL`;
     ``report.iterations`` is the CG count (0 for a direct solve) and
     ``report.fill`` the fill of the factor used (0 for Jacobi). Raises
-    :class:`SolverError` with status ``singular`` on an unsymmetric matrix or
-    a breakdown, ``not_converged`` when Jacobi CG reaches the cap or the
-    residual is above the contract.
+    :class:`SolverError` on an unsymmetric matrix, a breakdown, Jacobi CG
+    reaching its cap or a residual above the contract.
     """
     a = a.tocsc()
     asym = abs(a - a.T)
     scale = max(abs(a).max(), 1.0)
     if asym.nnz and asym.max() > 1e-12 * scale:
-        raise SolverError(
-            SolveReport(np.inf, 0, "singular"), "matrix is not symmetric"
-        )
+        raise SolverError("matrix is not symmetric")
     b = np.asarray(b, dtype=float)
     iterations = fill = 0
     try:
@@ -143,26 +137,16 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, precond, x0=None):
         else:
             raise ValueError(f"unknown preconditioner {precond!r}")
     except RuntimeError as exc:
-        raise SolverError(
-            SolveReport(np.inf, iterations, "singular"), f"factorization failed: {exc}"
-        ) from exc
+        raise SolverError(f"factorization failed: {exc}") from exc
     if x is None:  # Jacobi CG reached the cap
-        raise SolverError(
-            SolveReport(np.inf, iterations, "not_converged"),
-            f"Jacobi CG not converged after {iterations} iterations",
-        )
+        raise SolverError(f"Jacobi CG not converged after {iterations} iterations")
     if not np.all(np.isfinite(x)):
-        raise SolverError(
-            SolveReport(np.inf, iterations, "singular"), "non-finite solution"
-        )
+        raise SolverError("non-finite solution")
     res = np.linalg.norm(b - a @ x)
     rel = res / max(np.linalg.norm(b), 1e-300)
-    report = SolveReport(
-        res, iterations, "ok" if rel <= SPD_RTOL else "not_converged", fill
-    )
-    if report.status != "ok":
-        raise SolverError(report, f"relative residual {rel:.3e} above {SPD_RTOL}")
-    return x, report
+    if not rel <= SPD_RTOL:  # a NaN residual fails too
+        raise SolverError(f"relative residual {rel:.3e} above {SPD_RTOL}")
+    return x, SolveReport(res, iterations, fill)
 
 
 def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
@@ -193,17 +177,14 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     filled back in), ``p`` satisfies |int p| <= 1e-12 * scale,
     ``report.iterations`` is the GMRES count (0 when ``p0`` already meets the
     tolerance) and ``report.fill`` the fill of the velocity block factor.
-    Raises :class:`SolverError`:
-    ``singular`` when the mean row is missing or the factorization fails,
-    ``not_converged`` when GMRES reaches :data:`SCHUR_MAXITER` or the
+    Raises :class:`SolverError` when the mean row is missing, the
+    factorization fails, GMRES reaches :data:`SCHUR_MAXITER` or the
     full-system relative residual exceeds :data:`SADDLE_RTOL`.
     """
     free = sys.free_u
     mean = sys.mean
     if mean is None or not np.any(mean):
-        raise SolverError(
-            SolveReport(np.inf, 0, "singular"), "pressure mean row missing"
-        )
+        raise SolverError("pressure mean row missing")
     # component-major vectors as (n, 2) columns, one per component
     n = sys.A.shape[0]
     a_ff, lift_cols, _ = reduce_dirichlet(
@@ -221,10 +202,7 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     try:
         lu = _splu(a_ff.tocsc())
     except RuntimeError as exc:
-        raise SolverError(
-            SolveReport(np.inf, 0, "singular"),
-            f"velocity block factorization failed: {exc}",
-        ) from exc
+        raise SolverError(f"velocity block factorization failed: {exc}") from exc
 
     def a_inv(x):
         # both components in one two-column triangular solve; the transposed
@@ -257,30 +235,21 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
         callback_type="pr_norm",
     )
     if info != 0:
-        raise SolverError(
-            SolveReport(np.inf, iterations, "not_converged", lu.nnz),
-            f"Schur GMRES not converged after {iterations} iterations",
-        )
+        raise SolverError(f"Schur GMRES not converged after {iterations} iterations")
     p = y / mean
     p = p - (mean @ p) / mean.sum()
     u_f = a_inv(lift_u + b_ft @ p)
     if not np.all(np.isfinite(u_f)):
-        raise SolverError(
-            SolveReport(np.inf, iterations, "singular", lu.nnz),
-            "non-finite saddle solution",
-        )
+        raise SolverError("non-finite saddle solution")
 
     r_u = componentwise(a_ff, u_f) - b_ft @ p - lift_u
     r = np.concatenate([r_u, b_f @ u_f + lam * mean - lift_p, [mean @ p]])
     res = np.linalg.norm(r)
     rel = res / max(rhs_norm, 1e-300)
-    report = SolveReport(
-        res, iterations, "ok" if rel <= SADDLE_RTOL else "not_converged", lu.nnz
-    )
-    if report.status != "ok":
-        raise SolverError(report, f"saddle residual {rel:.3e} above {SADDLE_RTOL}")
+    if not rel <= SADDLE_RTOL:  # a NaN residual fails too
+        raise SolverError(f"saddle residual {rel:.3e} above {SADDLE_RTOL}")
     u[free] = u_f
-    return u, p, report
+    return u, p, SolveReport(res, iterations, lu.nnz)
 
 
 def reduce_dirichlet(a: sp.spmatrix, b: np.ndarray, free: np.ndarray, g=None):

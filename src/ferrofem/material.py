@@ -60,6 +60,14 @@ class MaterialParams:
                 f"inconsistent parameters: gamma={self.gamma} but 3*chi0/Ms="
                 f"{3.0 * self.chi0 / self.Ms}"
             )
+        # the recovery subtracts beta(0), which overflows below gamma ~ 4e-306 at Ms = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta0 = beta(0.0, self)
+        if not np.isfinite(beta0):
+            raise ValueError(
+                f"beta(0) = Ms ln(gamma)/gamma is not finite for gamma={self.gamma}, "
+                f"Ms={self.Ms}"
+            )
 
 
 def _check_nonnegative(x, name):

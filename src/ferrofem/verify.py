@@ -352,7 +352,6 @@ class StudyError(RuntimeError):
         super().__init__(f"study failed at N={n}: {cause}")
         self.report = report
         self.failed_level = n
-        self.cause = cause
 
 
 def _solve_level(pair, n, params, picard_iters, oseen_iters) -> StudyRow:
@@ -370,40 +369,30 @@ def _solve_level(pair, n, params, picard_iters, oseen_iters) -> StudyRow:
     t1 = time.perf_counter()
     errors = measure_errors(sol, case)
     t2 = time.perf_counter()
+    diagnostics = {
+        "grad_phi_norm": sol.diagnostics["grad_phi_norm"],
+        "grad_u_norm": sol.diagnostics["grad_u_norm"],
+        "picard_updates": sol.diagnostics["picard"]["updates"],
+    }
+    chains = {
+        "potential": sol.diagnostics["picard"]["reports"],
+        "flow": sol.diagnostics["oseen"]["reports"],
+    }
+    recovery = sol.diagnostics["recovery_reports"]
+    for key, attr in (
+        ("solve_residuals", "residual_norm"),
+        ("solve_iterations", "iterations"),
+        ("solve_fill", "fill"),
+    ):
+        diagnostics[key] = {c: [getattr(r, attr) for r in rs] for c, rs in chains.items()}
+        if attr != "fill":  # recovery factors nothing
+            diagnostics[key]["recovery"] = {k: getattr(r, attr) for k, r in recovery.items()}
     return StudyRow(
         n=n,
         h=mesh2d.mesh_size(sol.phi.space.mesh),
         errors=errors,
         curl_inf=curl_inf(sol.H),
-        diagnostics={
-            "grad_phi_norm": sol.diagnostics["grad_phi_norm"],
-            "grad_u_norm": sol.diagnostics["grad_u_norm"],
-            "picard_updates": sol.diagnostics["picard"]["updates"],
-            "solve_residuals": {
-                "potential": [
-                    r.residual_norm for r in sol.diagnostics["picard"]["reports"]
-                ],
-                "flow": [r.residual_norm for r in sol.diagnostics["oseen"]["reports"]],
-                "recovery": {
-                    k: r.residual_norm
-                    for k, r in sol.diagnostics["recovery_reports"].items()
-                },
-            },
-            "solve_iterations": {
-                "potential": [
-                    r.iterations for r in sol.diagnostics["picard"]["reports"]
-                ],
-                "flow": [r.iterations for r in sol.diagnostics["oseen"]["reports"]],
-                "recovery": {
-                    k: r.iterations
-                    for k, r in sol.diagnostics["recovery_reports"].items()
-                },
-            },
-            "solve_fill": {
-                "potential": [r.fill for r in sol.diagnostics["picard"]["reports"]],
-                "flow": [r.fill for r in sol.diagnostics["oseen"]["reports"]],
-            },
-        },
+        diagnostics=diagnostics,
         timings={
             "solve_s": t1 - t0, "errors_s": t2 - t1, **sol.diagnostics["timings"],
         },
@@ -425,7 +414,7 @@ def run_convergence_study(
     for n in levels:
         try:
             report.rows.append(_solve_level(pair, n, params, picard_iters, oseen_iters))
-        except (driver.StageError, linalg.SolverError) as exc:
+        except driver.StageError as exc:
             raise StudyError(report.finalize(), n, exc) from exc
     return report.finalize()
 

@@ -194,6 +194,9 @@ class TestMain:
             ("seed = 7\n", "config error: line 1: unknown key 'seed'"),
             # gamma = 3 chi0 / Ms would divide by zero
             ("levels = 2\nchi0 = 1\nMs = 0\n", "config error: Ms must be strictly positive"),
+            # beta(0) = Ms ln(gamma) / gamma overflows
+            ("levels = 4,8\ngamma = 1e-310\n", "config error: beta(0) = Ms ln(gamma)/gamma"
+             " is not finite for gamma=1e-310"),
         ],
     )
     def test_dead_seed_key_and_zero_ms_exit_2(self, tmp_path, capsys, text, message):

@@ -193,7 +193,7 @@ class TestFactorReuse:
         calls = _count_splu(monkeypatch)
         phi, info = driver.picard_elliptic(driver.Problem(cfg))
         assert len(calls) > 1  # a sweep whose CG hit the cap factored its matrix
-        assert all(r.status == "ok" for r in info["reports"])
+        assert len(info["reports"]) == 4  # the seed and every sweep returned
         scale = np.abs(phi_ref.coeffs).max()
         assert np.abs(phi.coeffs - phi_ref.coeffs).max() <= 1e-9 * scale
 
@@ -298,13 +298,6 @@ class TestRecovery:
         }
         assert errs[1e-15] == pytest.approx(errs[1e-9], rel=1e-6)
 
-    def test_flux_density_identity(self):
-        cfg = make_cfg(n=4)
-        sol = driver.solve_fhd(cfg)
-        assert np.allclose(
-            sol.B.coeffs, cfg.params.mu0 * (sol.H.coeffs + sol.M.coeffs), atol=1e-14
-        )
-
     def test_external_field_full_solve(self):
         prm = MaterialParams(mu0=2.0, Ms=2.0, gamma=0.5)
 
@@ -327,16 +320,24 @@ class TestRecovery:
 
 
 class TestSolveFhd:
-    def test_stage_error_tagged(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "func, stage",
+        [
+            ("oseen_ns", "navier-stokes"),
+            ("picard_elliptic", "potential"),
+            ("recover_fields", "recovery"),
+        ],
+    )
+    def test_stage_error_tagged(self, monkeypatch, func, stage):
+        # every solver call of solve_fhd runs inside a stage, so a study
+        # sees only StageError
         cfg = make_cfg(n=4)
 
         def boom(*a, **k):
-            raise driver.linalg.SolverError(
-                driver.linalg.SolveReport(np.inf, 0, "singular"), "forced"
-            )
+            raise driver.linalg.SolverError("forced")
 
-        monkeypatch.setattr(driver, "picard_elliptic", boom)
-        with pytest.raises(driver.StageError, match="potential"):
+        monkeypatch.setattr(driver, func, boom)
+        with pytest.raises(driver.StageError, match=f"stage '{stage}' failed: forced"):
             driver.solve_fhd(cfg)
 
     def test_decoupled_chains_independent(self):

@@ -16,13 +16,11 @@ class TestSolveSpd:
         b = np.array([3.0, -1.0, 2.0])
         x, rep = linalg.solve_spd(sp.identity(3, format="csr"), b, linalg.ReusedFactor())
         assert np.array_equal(x, b)
-        assert rep.status == "ok"
 
     def test_two_by_two_closed_form(self):
         a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         x, rep = linalg.solve_spd(a, np.array([1.0, 2.0]), linalg.ReusedFactor())
         assert x == pytest.approx([1.0 / 11.0, 7.0 / 11.0], rel=1e-14)
-        assert rep.status == "ok"
 
     def test_laplace_recovery_against_forward_multiply(self):
         rng = np.random.default_rng(0)
@@ -32,7 +30,6 @@ class TestSolveSpd:
         kff = k[s.free_mask][:, s.free_mask]
         x_true = rng.standard_normal(kff.shape[0])
         x, rep = linalg.solve_spd(kff, kff @ x_true, linalg.ReusedFactor())
-        assert rep.status == "ok"
         assert rep.fill > 0
         assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) < 1e-9
 
@@ -42,12 +39,11 @@ class TestSolveSpd:
         b = np.random.default_rng(1).standard_normal(mass.shape[0])
         x_lu, _ = linalg.solve_spd(mass, b, linalg.ReusedFactor())
         x, rep = linalg.solve_spd(mass, b, "jacobi")
-        assert rep.status == "ok" and rep.iterations > 0 and rep.fill == 0
+        assert rep.iterations > 0 and rep.fill == 0
         assert np.linalg.norm(x - x_lu) <= 1e-9 * np.linalg.norm(x_lu)
         monkeypatch.setattr(linalg, "JACOBI_MAXITER", 1)
-        with pytest.raises(SolverError, match="Jacobi CG") as err:
+        with pytest.raises(SolverError, match="Jacobi CG not converged"):
             linalg.solve_spd(mass, b, "jacobi")
-        assert err.value.report.status == "not_converged"
 
     def test_jacobi_cap_is_its_own(self, jittered_square):
         # the NE1 mass on a jittered mesh needs more Jacobi CG iterations than
@@ -55,7 +51,6 @@ class TestSolveSpd:
         mass = assembly.assemble_edge_mass(fespace.build_space(jittered_square(8), "NE1"))
         b = np.random.default_rng(2).standard_normal(mass.shape[0])
         x, rep = linalg.solve_spd(mass, b, "jacobi")
-        assert rep.status == "ok"
         assert linalg.CG_MAXITER < rep.iterations < linalg.JACOBI_MAXITER / 2
 
     def test_rejects_unknown_preconditioner(self):
@@ -69,9 +64,10 @@ class TestSolveSpd:
 
     def test_singular_reported(self):
         a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(SolverError) as err:
+        with pytest.raises(
+            SolverError, match="factorization failed|non-finite solution|residual .* above"
+        ):
             linalg.solve_spd(a, np.array([1.0, 0.0]), linalg.ReusedFactor())
-        assert err.value.report.status in ("singular", "not_converged")
 
 
 def _stokes_system(n=4, pair=("CR", "P0"), rhs=None, g=None):
@@ -90,7 +86,6 @@ class TestSolveSaddle:
     def test_zero_rhs_zero_solution(self):
         _, _, sys = _stokes_system()
         u, p, rep = linalg.solve_saddle(sys)
-        assert rep.status == "ok"
         assert np.abs(u).max() == 0.0
         assert np.abs(p).max() == 0.0
 
@@ -104,7 +99,6 @@ class TestSolveSaddle:
         )
         sys.g = np.where(v.free_mask, 0.0, uex.coeffs)
         u, p, rep = linalg.solve_saddle(sys)
-        assert rep.status == "ok"
         assert np.abs(u - uex.coeffs).max() < 1e-9
         assert np.abs(p).max() < 1e-9
 
@@ -113,7 +107,6 @@ class TestSolveSaddle:
         v, w, sys = _stokes_system()
         sys.rhs_u = rng.standard_normal(v.n_dofs)
         u, p, rep = linalg.solve_saddle(sys)
-        assert rep.status == "ok"
         assert abs(sys.mean @ p) <= 1e-12 * max(np.abs(p).max(), 1.0)
 
     def test_divergence_orthogonality(self):
@@ -186,7 +179,6 @@ class TestSchurSolve:
         u_ref, p_ref, lam = _bordered_dense_solve(sys)
         # random boundary values carry flux, so the mean multiplier is active
         assert lam != 0.0
-        assert rep.status == "ok"
         assert rep.iterations > 0
         assert np.abs(u - u_ref).max() < 1e-10
         assert np.abs(p - p_ref).max() < 1e-8
@@ -196,9 +188,8 @@ class TestSchurSolve:
         v, w, sys = _stokes_system(n=6)
         sys.rhs_u = rng.standard_normal(v.n_dofs)
         monkeypatch.setattr(linalg, "SCHUR_MAXITER", 2)
-        with pytest.raises(SolverError) as err:
+        with pytest.raises(SolverError, match="Schur GMRES not converged"):
             linalg.solve_saddle(sys)
-        assert err.value.report.status == "not_converged"
 
     def test_l1_oseen_sweep_stops_on_true_residual(self):
         # a system of the l1 nonlinear study on which GMRES with a left
@@ -208,7 +199,7 @@ class TestSchurSolve:
         case = verify.case_2d_l1(prm)
         cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=1)
         _, _, info = driver.oseen_ns(driver.Problem(cfg))
-        assert [r.status for r in info["reports"]] == ["ok", "ok"]
+        assert len(info["reports"]) == 2
 
     def test_warm_start_from_solution_takes_no_iterations(self):
         rng = np.random.default_rng(16)
@@ -222,7 +213,6 @@ class TestSchurSolve:
         u, p, rep = linalg.solve_saddle(sys, p0=p_cold)
         assert rep_cold.iterations > 0
         assert rep.iterations == 0
-        assert rep.status == "ok"
         assert rep.fill > 0
         assert np.abs(u - u_cold).max() < 1e-10
         assert np.abs(p - p_cold).max() < 1e-8
@@ -241,7 +231,6 @@ class TestSchurSolve:
     def test_l0_stokes_iterations_bounded_in_n(self, n):
         cfg = FhdConfig(n=n, pair="l0", case=verify.case_2d_l0())
         _, _, rep = driver.initial_guess_velocity(driver.Problem(cfg))
-        assert rep.status == "ok"
         assert 0 < rep.iterations <= 40
 
 

@@ -178,3 +178,13 @@ class TestParams:
     def test_positivity_enforced(self, field):
         with pytest.raises(ValueError):
             MaterialParams(**{field: -1.0})
+
+    @pytest.mark.parametrize("kwargs", [{"gamma": 1e-310}, {"chi0": 1e-310}])
+    def test_overflowing_beta0_rejected(self, kwargs):
+        # beta(0) = Ms ln(gamma) / gamma is -inf; the check itself warns of nothing
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="gamma="):
+            MaterialParams(**kwargs)
+
+    def test_tiny_gamma_with_finite_beta0_accepted(self):
+        prm = MaterialParams(gamma=1e-300)
+        assert material.beta(0.0, prm) == pytest.approx(-6.907755278982137e302)

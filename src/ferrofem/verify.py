@@ -278,12 +278,6 @@ def measure_errors(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
     return {name: _relative(*norms) for name, norms in _error_norms(sol, case).items()}
 
 
-def discretization_error_norms(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
-    """Absolute discretization errors in the same norms as the study columns."""
-    norms = _error_norms(sol, case)
-    return {name: norms[name][0] for name in ERROR_COLUMNS}
-
-
 def curl_inf(field: FEField) -> float:
     """Max-norm of the (element-wise constant) curl of an edge field."""
     rule = refelem.quadrature(1)
@@ -417,35 +411,6 @@ def run_convergence_study(
         except driver.StageError as exc:
             raise StudyError(report.finalize(), n, exc) from exc
     return report.finalize()
-
-
-# ---------------------------------------------------------------------------
-# discrete-field distances (iteration-sufficiency checks)
-# ---------------------------------------------------------------------------
-
-
-def solution_distance(a: driver.FhdSolution, b: driver.FhdSolution) -> dict:
-    """Norm distances between two solves on the same mesh, per error column."""
-    mesh = a.phi.space.mesh
-    k1 = assembly.assemble_weighted_stiffness(a.phi.space)
-    mass_u = assembly.assemble_edge_mass(a.H.space)
-    mass_w = assembly.assemble_scalar_mass(a.p.space)
-    vspace = a.u.space
-    kv = assembly.assemble_stokes_blocks(vspace, a.p_tilde.space, 1.0).A
-    mv = assembly.assemble_scalar_mass(vspace)
-
-    def qnorm(mat, vec):
-        # mat is a scalar block, applied to each component of vec
-        return math.sqrt(max(float(vec @ fespace.componentwise(mat, vec)), 0.0))
-
-    du = a.u.coeffs - b.u.coeffs
-    return {
-        "err_phi_h1": qnorm(k1, a.phi.coeffs - b.phi.coeffs),
-        "err_H_hcurl": qnorm(mass_u, a.H.coeffs - b.H.coeffs),
-        "err_M_l2": qnorm(mass_u, a.M.coeffs - b.M.coeffs),
-        "err_u_h1h": math.hypot(qnorm(kv, du), qnorm(mv, du)),
-        "err_p_l2": qnorm(mass_w, a.p.coeffs - b.p.coeffs),
-    }
 
 
 # ---------------------------------------------------------------------------

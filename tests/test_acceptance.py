@@ -4,10 +4,11 @@ Each test appends one pass/fail line to the terminal summary (see
 conftest.pytest_terminal_summary) in addition to its assertions.
 """
 
+import math
 import time
 
 from conftest import record_acceptance
-from ferrofem import cli, driver, verify
+from ferrofem import assembly, cli, driver, fespace, verify
 from ferrofem.driver import FhdConfig
 
 # frozen reference values for the default study: relative errors of the
@@ -116,6 +117,34 @@ class TestCriterion4PropertyBattery:
         assert elapsed <= 60.0
 
 
+def _discretization_errors(sol, case):
+    """Absolute discretization errors in the same norms as the study columns."""
+    norms = verify._error_norms(sol, case)
+    return {name: norms[name][0] for name in verify.ERROR_COLUMNS}
+
+
+def _solution_distance(a, b):
+    """Norm distances between two solves on the same mesh, per error column."""
+    k1 = assembly.assemble_weighted_stiffness(a.phi.space)
+    mass_u = assembly.assemble_edge_mass(a.H.space)
+    mass_w = assembly.assemble_scalar_mass(a.p.space)
+    kv = assembly.assemble_stokes_blocks(a.u.space, a.p_tilde.space, 1.0).A
+    mv = assembly.assemble_scalar_mass(a.u.space)
+
+    def qnorm(mat, vec):
+        # mat is a scalar block, applied to each component of vec
+        return math.sqrt(max(float(vec @ fespace.componentwise(mat, vec)), 0.0))
+
+    du = a.u.coeffs - b.u.coeffs
+    return {
+        "err_phi_h1": qnorm(k1, a.phi.coeffs - b.phi.coeffs),
+        "err_H_hcurl": qnorm(mass_u, a.H.coeffs - b.H.coeffs),
+        "err_M_l2": qnorm(mass_u, a.M.coeffs - b.M.coeffs),
+        "err_u_h1h": math.hypot(qnorm(kv, du), qnorm(mv, du)),
+        "err_p_l2": qnorm(mass_w, a.p.coeffs - b.p.coeffs),
+    }
+
+
 class TestCriterion5IterationSufficiency:
     def test_two_sweeps_within_5pct_of_discretization_error(self):
         case = verify.case_2d_l0()
@@ -125,8 +154,8 @@ class TestCriterion5IterationSufficiency:
         sol6 = driver.solve_fhd(
             FhdConfig(n=16, pair="l0", case=case, picard_iters=6, oseen_iters=6)
         )
-        gaps = verify.solution_distance(sol2, sol6)
-        errs = verify.discretization_error_norms(sol6, case)
+        gaps = _solution_distance(sol2, sol6)
+        errs = _discretization_errors(sol6, case)
         ratios = {k: gaps[k] / errs[k] for k in gaps}
         ok = all(v <= 0.05 for v in ratios.values())
         _criterion(

@@ -55,21 +55,22 @@ def test_no_module_uses_another_modules_private_names():
     assert found == []
 
 
-def _block_diag_uses(path: Path) -> list:
-    """Every reference to ``block_diag`` in one file: called, imported or aliased."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _references(target: str) -> list:
+    """Every reference to the name ``target`` in the package: called, imported or aliased."""
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.alias):
-            name = node.name
-        else:
-            continue
-        if name == "block_diag":
-            found.append(f"{path.name}:{getattr(node, 'lineno', '?')} uses block_diag")
+    for stem in MODULES:
+        path = PACKAGE / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == target:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} uses {target}")
     return found
 
 
@@ -77,5 +78,11 @@ def test_no_module_builds_block_diagonal_matrices():
     # a vector operator that acts on each component alike is stored as its
     # one scalar block and applied per component (fespace.componentwise);
     # a doubled matrix would be a second representation of the same operator
-    found = [use for stem in MODULES for use in _block_diag_uses(PACKAGE / f"{stem}.py")]
-    assert found == []
+    assert _references("block_diag") == []
+
+
+def test_no_module_calls_scipy_gmres():
+    # the Schur solve runs linalg's own GMRES loop; scipy's beside it would be
+    # a second GMRES path with its own stopping test (the parity check against
+    # scipy is in tests/test_linalg.py)
+    assert _references("gmres") == []

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ferrofem import assembly, driver, fespace, linalg, mesh2d, verify
 from ferrofem.driver import FhdConfig
@@ -68,6 +69,61 @@ class TestSolveSpd:
             SolverError, match="factorization failed|non-finite solution|residual .* above"
         ):
             linalg.solve_spd(a, np.array([1.0, 0.0]), linalg.ReusedFactor())
+
+
+def _nonsymmetric(n=12, seed=5):
+    """A well-conditioned nonsymmetric dense matrix and its matvec."""
+    a = 4.0 * np.eye(n) + np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+    return a, lambda x: a @ x
+
+
+class TestGmres:
+    def test_matches_dense_solve(self):
+        a, matvec = _nonsymmetric()
+        b = np.random.default_rng(6).standard_normal(a.shape[0])
+        x, iterations = linalg._gmres(matvec, b, None, 0.0)
+        assert 0 < iterations <= a.shape[0]
+        x_ref = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+    def test_happy_breakdown_after_distinct_eigenvalues(self, monkeypatch):
+        # two distinct eigenvalues: the Krylov space of ones is invariant after
+        # two steps, and every entry of this basis is exact in binary, so the
+        # second step's new vector is exactly zero; with no tolerance left only
+        # the breakdown can stop the loop
+        monkeypatch.setattr(linalg, "SCHUR_RTOL", 0.0)
+        d = np.repeat([2.0, 3.0], 8)
+        with np.errstate(all="raise"):
+            x, iterations = linalg._gmres(lambda v: d * v, np.ones(16), None, 0.0)
+        assert iterations == 2
+        assert np.abs(x - 1.0 / d).max() < 1e-15
+
+    def test_zero_rhs(self):
+        _, matvec = _nonsymmetric()
+        x, iterations = linalg._gmres(matvec, np.zeros(12), None, 0.0)
+        assert iterations == 0
+        assert np.array_equal(x, np.zeros(12))
+
+    def test_start_at_solution_takes_no_iterations(self):
+        a, matvec = _nonsymmetric()
+        b = np.random.default_rng(7).standard_normal(a.shape[0])
+        x0 = np.linalg.solve(a, b)
+        x, iterations = linalg._gmres(matvec, b, x0, 0.0)
+        assert iterations == 0
+        assert x is x0
+
+    def test_singular_breakdown_fails_without_dividing(self):
+        # the first step breaks down with a zero pivot: no least-squares step
+        x, iterations = linalg._gmres(lambda v: 0.0 * v, np.ones(4), None, 0.0)
+        assert x is None
+        assert iterations == 1
+
+    def test_none_at_the_cap(self, monkeypatch):
+        a, matvec = _nonsymmetric()
+        monkeypatch.setattr(linalg, "SCHUR_MAXITER", 2)
+        x, iterations = linalg._gmres(matvec, np.ones(a.shape[0]), None, 0.0)
+        assert x is None
+        assert iterations == 2
 
 
 def _stokes_system(n=4, pair=("CR", "P0"), rhs=None, g=None):
@@ -200,6 +256,56 @@ class TestSchurSolve:
         cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=1)
         _, _, info = driver.oseen_ns(driver.Problem(cfg))
         assert len(info["reports"]) == 2
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_parity_with_scipy_gmres(self, sweep):
+        # scipy's GMRES with the arguments the Schur solve once passed it, on
+        # the Stokes seed and the first Oseen sweep of the l1 study: the same
+        # count, and the same pressure to round-off
+        prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
+        case = verify.case_2d_l1(prm)
+        prob = driver.Problem(FhdConfig(n=16, pair="l1", params=prm, case=case))
+        sys, p0 = prob.saddle, None
+        if sweep:
+            u, p, _ = driver.initial_guess_velocity(prob)
+            conv = assembly.assemble_convection(prob.V, u, prm.rho)
+            sys, p0 = replace(sys, A=(sys.A + conv).tocsr()), p.coeffs
+        _, p_own, rep = linalg.solve_saddle(sys, p0=p0)
+
+        free, mean, n = sys.free_u, sys.mean, sys.A.shape[0]
+        a_ff, lift_cols, _ = linalg.reduce_dirichlet(
+            sys.A, sys.rhs_u.reshape(2, n).T, free[:n], sys.g.reshape(2, n).T
+        )
+        lu = linalg._splu(a_ff.tocsc())
+        b_f = sp.csr_matrix(sys.B[:, free])
+        lift_u = lift_cols.T.ravel()
+        lift_p = -(sys.B[:, ~free] @ sys.g[~free])
+
+        def a_inv(x):
+            return lu.solve(x.reshape(2, -1).T).T.ravel()
+
+        schur_m = spla.LinearOperator(
+            (len(mean),) * 2, matvec=lambda y: b_f @ a_inv(b_f.T @ (y / mean)), dtype=float
+        )
+        lam = lift_p.sum() / mean.sum()
+        rhs_norm = np.linalg.norm(np.concatenate([lift_u, lift_p]))
+        counts = []
+        y, info = spla.gmres(
+            schur_m,
+            lift_p - lam * mean - b_f @ a_inv(lift_u),
+            x0=None if p0 is None else mean * p0,
+            rtol=linalg.SCHUR_RTOL,
+            atol=linalg.SCHUR_RTOL * rhs_norm,
+            restart=linalg.SCHUR_MAXITER,
+            maxiter=1,
+            callback=counts.append,
+            callback_type="pr_norm",
+        )
+        assert info == 0
+        p_ref = y / mean
+        p_ref -= (mean @ p_ref) / mean.sum()
+        assert rep.iterations == len(counts) > 0
+        assert np.abs(p_own - p_ref).max() < 1e-10
 
     def test_warm_start_from_solution_takes_no_iterations(self):
         rng = np.random.default_rng(16)

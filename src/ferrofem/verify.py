@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import assembly, driver, fespace, linalg, material, mesh2d, refelem
 from .driver import FhdConfig
@@ -502,9 +503,7 @@ def check_form_bounds(seed: int = 42) -> list:
         val = float(x @ (a_w @ x))
         coercive &= val >= ref * (1.0 - 1e-12)
         worst_b = min(worst_b, val / max(ref, 1e-300))
-        bound = c1 * math.sqrt(max(x @ (k1 @ x), 0.0)) * math.sqrt(
-            max(tau @ (k1 @ tau), 0.0)
-        )
+        bound = c1 * math.sqrt(max(ref, 0.0)) * math.sqrt(max(tau @ (k1 @ tau), 0.0))
         val2 = abs(float(x @ (a_w @ tau)))
         continuous &= val2 <= bound * (1.0 + 1e-12)
         worst_c = max(worst_c, val2 / max(bound, 1e-300))
@@ -600,22 +599,52 @@ def check_commuting_diagram(seed: int = 42) -> list:
 
 
 def infsup_constant(pair: str, n: int) -> float:
-    """Numerical inf-sup constant of the velocity/pressure pair at level n."""
+    """Numerical inf-sup constant of the velocity/pressure pair at level n.
+
+    beta^2 is the smallest nonzero eigenvalue of S p = lam Mp p with
+    S = sum_c B_c X^-1 B_c' (Chapelle & Bathe 1993), X = K + M the free
+    scalar velocity Gram matrix and B_c the divergence columns of velocity
+    component c. The same eigenvalues come from the sparse symmetric pencil
+
+        a = [[-X, 0, -B1'], [0, -X, -B2'], [-B1, -B2, 0]],  m = diag(0, 0, Mp),
+
+    since a z = lam m z gives u_c = -X^-1 B_c' p. One shift-invert Lanczos
+    solve takes the two eigenvalues nearest a fixed negative shift: since
+    every eigenvalue is >= 0, these are the hydrostatic zero (constant
+    pressure) and beta^2. The hydrostatic Ritz value must be zero to
+    round-off, else SolverError is raised.
+    """
     _, _, v_fam, w_fam = driver.PAIRS[pair]
     mesh = mesh2d.build_uniform_square(n)
     v = fespace.build_space(mesh, v_fam, components=2)
     w = fespace.build_space(mesh, w_fam)
     sys = assembly.assemble_stokes_blocks(v, w, eta=1.0)
     free = ~v.dirichlet_scalar
-    x = (sys.A + assembly.assemble_scalar_mass(v))[free][:, free].toarray()
-    mp = assembly.assemble_scalar_mass(w).toarray()
-    cho = scipy.linalg.cho_factor(x)
-    # the velocity Gram matrix is block_diag(x, x): one term B_c x^-1 B_c' per component
-    b_cs = np.split(sys.B[:, v.free_mask].toarray(), 2, axis=1)
-    s_mat = sum(b_c @ scipy.linalg.cho_solve(cho, b_c.T) for b_c in b_cs)
-    eigs = scipy.linalg.eigh(s_mat, mp, eigvals_only=True)
-    # smallest eigenvalue belongs to the constant pressure mode
-    return float(np.sqrt(max(eigs[1], 0.0)))
+    x = (sys.A + assembly.assemble_scalar_mass(v))[free][:, free]
+    b_f = sys.B[:, v.free_mask]
+    b1, b2 = b_f[:, : x.shape[0]], b_f[:, x.shape[0] :]
+    a = sp.bmat([[-x, None, -b1.T], [None, -x, -b2.T], [-b1, -b2, None]], format="csc")
+    zero = sp.csr_matrix(x.shape)
+    m = sp.bmat([[zero, None, None], [None, zero, None],
+                 [None, None, assembly.assemble_scalar_mass(w)]], format="csc")
+    # sigma < 0: every eigenvalue is >= 0, so the two nearest sigma are always
+    # the hydrostatic 0 and beta^2 (sigma = +0.1 at l1 N=16 gives beta^2 and
+    # the next one, 0.13355 and 0.13408); and a - sigma m =
+    # [[-X, -B'], [-B, |sigma| Mp]] is symmetric quasi-definite (Vanderbei
+    # 1995), so its factorization is nonsingular
+    sigma = -0.05
+    v0 = np.random.default_rng(0).standard_normal(a.shape[0])  # ARPACK's default is random
+    # the Lanczos basis lives in pressure space: scipy's default of 20
+    # vectors breaks down where that has fewer dofs (N < 4)
+    ncv = min(20, w.n_scalar - 1)
+    lam_min, lam_max = sorted(
+        spla.eigsh(a, k=2, M=m, sigma=sigma, v0=v0, ncv=ncv, return_eigenvectors=False)
+    )
+    if abs(lam_min) > 1e-10 * lam_max:
+        raise linalg.SolverError(
+            f"N={n}: hydrostatic eigenvalue {lam_min:.3e} not zero beside {lam_max:.3e}"
+        )
+    return float(np.sqrt(lam_max))
 
 
 def check_infsup() -> list:
@@ -630,7 +659,11 @@ def check_infsup() -> list:
     """
     res = []
     for pair in driver.PAIRS:
-        betas = [infsup_constant(pair, n) for n in INFSUP_LEVELS]
+        try:
+            betas = [infsup_constant(pair, n) for n in INFSUP_LEVELS]
+        except linalg.SolverError as exc:
+            res.append(_result(f"inf-sup-{pair}", False, str(exc)))
+            continue
         drops = [1.0 - b2 / b1 for b1, b2 in zip(betas, betas[1:])]
         ok = drops[-1] <= 0.10 and all(
             d2 <= d1 + 1e-9 for d1, d2 in zip(drops, drops[1:])

@@ -86,3 +86,10 @@ def test_no_module_calls_scipy_gmres():
     # a second GMRES path with its own stopping test (the parity check against
     # scipy is in tests/test_linalg.py)
     assert _references("gmres") == []
+
+
+def test_no_module_calls_dense_eigensolvers():
+    # the inf-sup constants come from one sparse shift-invert eigensolve in
+    # verify; a dense Cholesky/eigh path beside it would be a second answer
+    # to the same question (the dense oracle is in tests/test_verify.py)
+    assert [use for name in ("eigh", "cho_factor", "cho_solve") for use in _references(name)] == []

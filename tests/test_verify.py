@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrofem import driver, fespace, material, mesh2d, refelem, verify
+from ferrofem import assembly, driver, fespace, material, mesh2d, refelem, verify
 
 
 class TestManufacturedCases:
@@ -332,6 +334,34 @@ class TestBattery:
                 assert f"{got:.6f}" == printed
                 assert got == pytest.approx(beta, rel=1e-6)
 
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_infsup_constant_matches_dense_oracle(self, pair, n):
+        assert verify.infsup_constant(pair, n) == pytest.approx(
+            _dense_infsup_constant(pair, n), rel=1e-12
+        )
+
+    def test_negative_control_hydrostatic_mode_lost_fails(self, monkeypatch):
+        # one free entry of the P0 pair's divergence scaled by 1.5:
+        # B_f' 1 != 0 and B_f' has no kernel left, so the smallest eigenvalue
+        # is no longer the hydrostatic zero. (A whole row scaled by d would
+        # only move the kernel to D^-1 1, and the zero would stay.)
+        real = assembly.assemble_stokes_blocks
+
+        def broken(v_space, w_space, eta):
+            sys = real(v_space, w_space, eta)
+            if w_space.family == "P0":
+                b = sp.csr_matrix(sys.B, copy=True)
+                b.data[np.argmax(abs(b.data) * sys.free_u[b.indices])] *= 1.5
+                sys.B = b
+            return sys
+
+        monkeypatch.setattr(verify.assembly, "assemble_stokes_blocks", broken)
+        by_name = {r.name: r for r in verify.check_infsup()}
+        assert not by_name["inf-sup-l0"].passed
+        assert "hydrostatic" in by_name["inf-sup-l0"].detail
+        assert by_name["inf-sup-l1"].passed
+
     def test_stability_check_warm_starts_oseen_sweeps(self, monkeypatch):
         counts = []
         real = driver.linalg.solve_saddle
@@ -349,3 +379,25 @@ class TestBattery:
         # Stokes seed plus three sweeps; 18 + 3 * 22 = 84 when each sweep
         # started from p = 0
         assert len(counts) == 4 and sum(counts) <= 50
+
+
+def _dense_infsup_constant(pair, n):
+    """Reference inf-sup constant: the dense Schur complement and generalized eigh.
+
+    The velocity Gram matrix is block_diag(x, x), so S = sum_c B_c x^-1 B_c'
+    has one term per component; the smallest eigenvalue of S p = lam Mp p
+    belongs to the constant pressure mode.
+    """
+    _, _, v_fam, w_fam = driver.PAIRS[pair]
+    mesh = mesh2d.build_uniform_square(n)
+    v = fespace.build_space(mesh, v_fam, components=2)
+    w = fespace.build_space(mesh, w_fam)
+    sys = assembly.assemble_stokes_blocks(v, w, eta=1.0)
+    free = ~v.dirichlet_scalar
+    x = (sys.A + assembly.assemble_scalar_mass(v))[free][:, free].toarray()
+    mp = assembly.assemble_scalar_mass(w).toarray()
+    cho = scipy.linalg.cho_factor(x)
+    b_cs = np.split(sys.B[:, v.free_mask].toarray(), 2, axis=1)
+    s_mat = sum(b_c @ scipy.linalg.cho_solve(cho, b_c.T) for b_c in b_cs)
+    eigs = scipy.linalg.eigh(s_mat, mp, eigvals_only=True)
+    return float(np.sqrt(max(eigs[1], 0.0)))

@@ -3,11 +3,11 @@
 Stages, in the order they run:
 
 1. Oseen sweeps on the Navier-Stokes saddle system (convecting velocity
-   frozen), seeded by the Stokes solution.
+   frozen at the previous iterate).
 2. Picard sweeps on the nonlinear potential equation (coefficient frozen at
-   the previous iterate), seeded by the plain Poisson solution. The seed
-   matrix is the only one factored; each sweep runs CG preconditioned by
-   that factor and started from the previous iterate.
+   the previous iterate). The seed matrix is the only one factored; each
+   sweep runs CG preconditioned by that factor and started from the
+   previous iterate.
 3. Magnetic field recovery H = grad(phi) through the exact coefficient
    identity of the gradient inclusion matrix (so curl H vanishes to
    round-off).
@@ -15,6 +15,10 @@ Stages, in the order they run:
    projection of the magnetic pressure potential, each by Jacobi-
    preconditioned CG on its mass matrix.
 5. Total pressure p = p_tilde + mu0 * psi, shifted to zero mean.
+
+Stages 1 and 2 run one fixed-point loop, ``_fixed_point``, whose first step
+from no iterate is the chain's seed: the Stokes solution, the plain Poisson
+solution.
 
 The potential chain and the flow chain are independent of each other; only
 the recovery stage consumes both. The flow chain runs first so that the
@@ -61,7 +65,6 @@ class FhdConfig:
     case: object | None = None
     h_ext: object | None = None
     body_force: object | None = None
-    picard_tol: float | None = None
 
     def __post_init__(self):
         if self.pair not in PAIRS:
@@ -125,78 +128,73 @@ class Problem:
         return float(np.sqrt(max(visc_energy / self.cfg.params.eta, 0.0)))
 
 
-def _solve_elliptic(prob: Problem, a_mat, phi0: FEField | None = None):
-    free = prob.S.free_mask
-    a_ff, b_f, expand = linalg.reduce_dirichlet(a_mat, prob.rhs_phi, free)
-    x0 = None if phi0 is None else phi0.coeffs[free]
-    x, report = linalg.solve_spd(a_ff, b_f, prob.phi_factor, x0)
-    return FEField(prob.S, expand(x)), report
+def _fixed_point(step, start, iters: int, update):
+    """``iters`` sweeps ``x, report = step(x)`` from ``start``, or from ``step(None)``.
 
-
-def initial_guess_phi(prob: Problem):
-    """Poisson seed: the alpha == 1 problem with the same data and BC.
-
-    Factors the seed matrix and keeps the factor for the Picard sweeps.
+    Returns the last iterate and ``{"reports", "updates"}``: every solve's
+    report, and ``update(old, new)`` per sweep.
     """
-    return _solve_elliptic(prob, prob.K1)
+    x, reports, updates = start, [], []
+    if x is None:
+        x, report = step(None)
+        reports.append(report)
+    for _ in range(iters):
+        x_next, report = step(x)
+        reports.append(report)
+        updates.append(update(x, x_next))
+        x = x_next
+    return x, {"reports": reports, "updates": updates}
 
 
 def picard_elliptic(prob: Problem, phi0: FEField | None = None):
     """Frozen-coefficient sweeps on the nonlinear potential equation.
 
-    Runs ``picard_iters`` sweeps from ``phi0`` (the Poisson seed when None),
-    or stops early once the H1-seminorm update drops below ``picard_tol``
-    when set. Each sweep is a CG solve preconditioned by the problem's kept
-    factor (the Poisson seed's; the first sweep factors its own matrix when
-    there is none) and started from the previous iterate. Returns
-    ``(phi, info)`` with the per-sweep linear-solve reports and stagnation
-    metrics.
+    Runs ``picard_iters`` sweeps from ``phi0``, or from the Poisson seed
+    (alpha == 1, same data and BC; its factor is kept) when it is None. Each
+    sweep is a CG solve preconditioned by the problem's kept factor (the
+    first sweep factors its own matrix when there is none) and started from
+    the previous iterate. Returns ``(phi, info)`` with every solve's report
+    and each sweep's H1-seminorm update.
     """
     cfg = prob.cfg
-    if phi0 is None:
-        phi0, seed_report = initial_guess_phi(prob)
-        reports = [seed_report]
-    else:
-        reports = []
-    phi = phi0
-    updates = []
-    for _ in range(cfg.picard_iters):
-        a_mat = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.params)
-        phi_next, report = _solve_elliptic(prob, a_mat, phi)
-        reports.append(report)
-        updates.append(prob.grad_norm_phi(phi_next.coeffs - phi.coeffs))
-        phi = phi_next
-        if cfg.picard_tol is not None and updates[-1] < cfg.picard_tol:
-            break
-    info = {"reports": reports, "updates": updates}
-    return phi, info
+    free = prob.S.free_mask
 
+    def step(phi):
+        if phi is None:
+            a_mat, x0 = prob.K1, None
+        else:
+            a_mat = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.params)
+            x0 = phi.coeffs[free]
+        a_ff, b_f, expand = linalg.reduce_dirichlet(a_mat, prob.rhs_phi, free)
+        x, report = linalg.solve_spd(a_ff, b_f, prob.phi_factor, x0)
+        return FEField(prob.S, expand(x)), report
 
-def initial_guess_velocity(prob: Problem):
-    """Stokes seed: the saddle system without the convection matrix."""
-    u, p, report = linalg.solve_saddle(prob.saddle)
-    return FEField(prob.V, u), FEField(prob.W, p), report
+    return _fixed_point(step, phi0, cfg.picard_iters,
+                        lambda old, new: prob.grad_norm_phi(new.coeffs - old.coeffs))
 
 
 def oseen_ns(prob: Problem, start: tuple[FEField, FEField] | None = None):
     """Oseen sweeps: convecting field frozen at the previous iterate.
 
-    Starts from ``start = (u, p)``, or from the Stokes seed when it is None.
-    Each sweep's Schur GMRES starts from the previous pressure.
+    Runs ``oseen_iters`` sweeps from ``start = (u, p)``, or from the Stokes
+    seed when it is None. Each sweep's Schur GMRES starts from the previous
+    pressure. ``info`` is as in :func:`picard_elliptic`, with velocity updates.
     """
-    if start is None:
-        u, p, seed_report = initial_guess_velocity(prob)
-        reports = [seed_report]
-    else:
-        (u, p), reports = start, []
-    for _ in range(prob.cfg.oseen_iters):
-        conv = assembly.assemble_convection(prob.V, u, prob.cfg.params.rho)
-        sys = replace(prob.saddle, A=(prob.saddle.A + conv).tocsr())
-        u_coeffs, p_coeffs, report = linalg.solve_saddle(sys, p0=p.coeffs)
-        reports.append(report)
-        u = FEField(prob.V, u_coeffs)
-        p = FEField(prob.W, p_coeffs)
-    return u, p, {"reports": reports}
+    rho = prob.cfg.params.rho
+
+    def step(up):
+        if up is None:
+            sys, p0 = prob.saddle, None
+        else:
+            u, p = up
+            conv = assembly.assemble_convection(prob.V, u, rho)
+            sys, p0 = replace(prob.saddle, A=(prob.saddle.A + conv).tocsr()), p.coeffs
+        u_coeffs, p_coeffs, report = linalg.solve_saddle(sys, p0=p0)
+        return (FEField(prob.V, u_coeffs), FEField(prob.W, p_coeffs)), report
+
+    (u, p), info = _fixed_point(step, start, prob.cfg.oseen_iters,
+                                lambda old, new: prob.grad_norm_u(new[0].coeffs - old[0].coeffs))
+    return u, p, info
 
 
 def recover_fields(
@@ -262,7 +260,8 @@ def solve_fhd(cfg: FhdConfig) -> FhdSolution:
 
     Load vectors without a finite 2-norm (overflowing material constants)
     stop the solve in stage ``setup``, before any solver sees them.
-    ``diagnostics["timings"]`` holds the wall time of the potential, flow and
+    ``diagnostics["potential"]``/``["flow"]`` hold each chain's ``info``, and
+    ``diagnostics["timings"]`` the wall time of the potential, flow and
     recovery stages (``picard_s``, ``flow_s``, ``recovery_s``, seconds).
     """
     prob = Problem(cfg)
@@ -289,8 +288,8 @@ def solve_fhd(cfg: FhdConfig) -> FhdSolution:
         sol = recover_fields(prob, phi, u, p_tilde)
     except linalg.SolverError as exc:
         raise StageError("recovery", exc) from exc
-    sol.diagnostics["picard"] = phi_info
-    sol.diagnostics["oseen"] = ns_info
+    sol.diagnostics["potential"] = phi_info
+    sol.diagnostics["flow"] = ns_info
     sol.diagnostics["timings"] = {
         "picard_s": t2 - t1, "flow_s": t1 - t0, "recovery_s": time.perf_counter() - t2,
     }

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,8 +111,21 @@ class TestCommands:
             assert len(set(fill)) == 1 and fill[0] > 0
             recovery = row["diagnostics"]["solve_iterations"]["recovery"]
             assert set(recovery) == {"M", "psi"} and all(k > 0 for k in recovery.values())
+            # one update per sweep of each chain; the Oseen updates contract
+            updates = row["diagnostics"]["sweep_updates"]
+            assert len(updates["potential"]) == cfg.picard_iters
+            assert len(updates["flow"]) == cfg.oseen_iters
+            assert all(b < 0.1 * a for a, b in zip(updates["flow"], updates["flow"][1:]))
             for key in ("solve_s", "errors_s", "picard_s", "flow_s", "recovery_s"):
                 assert row["timings"][key] >= 0.0
+
+    def test_every_diagnostics_key_in_readme(self, tmp_path):
+        cfg = parse_config("levels = 4\n")
+        assert cli.cmd_run(cfg, tmp_path / "out.csv", tmp_path / "out.json") == 0
+        keys = json.loads((tmp_path / "out.json").read_text())["rows"][0]["diagnostics"]
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = readme.split("under `diagnostics`:", 1)[1].split("\n\n", 2)[1]
+        assert [k for k in keys if not re.search(rf"`{k}[`.]", listed)] == []
 
     def test_run_partial_output_on_failure(self, tmp_path, monkeypatch):
         real = verify._solve_level

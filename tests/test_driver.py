@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ferrofem import assembly, driver, fespace, material, refelem, verify
+from ferrofem import assembly, driver, fespace, linalg, material, refelem, verify
 from ferrofem.driver import FhdConfig
+from ferrofem.fespace import FEField
 from ferrofem.material import MaterialParams
 
 CASE = verify.case_2d_l0()
@@ -15,6 +16,20 @@ def make_cfg(n=8, **kw):
 
 def zero_external(pts):
     return np.zeros((len(pts), 2))
+
+
+def poisson_seed(prob):
+    """The potential chain's seed, solved by the calls of its first step."""
+    free = prob.S.free_mask
+    a_ff, b_f, expand = linalg.reduce_dirichlet(prob.K1, prob.rhs_phi, free)
+    x, rep = linalg.solve_spd(a_ff, b_f, prob.phi_factor)
+    return FEField(prob.S, expand(x)), rep
+
+
+def stokes_seed(prob):
+    """The flow chain's seed: the saddle system without convection."""
+    u, p, rep = linalg.solve_saddle(prob.saddle)
+    return FEField(prob.V, u), FEField(prob.W, p), rep
 
 
 class TestConfig:
@@ -36,7 +51,7 @@ class TestConfig:
 class TestInitialGuesses:
     def test_zero_data_zero_potential(self):
         cfg = FhdConfig(n=4, h_ext=zero_external)
-        phi, rep = driver.initial_guess_phi(driver.Problem(cfg))
+        phi, rep = poisson_seed(driver.Problem(cfg))
         assert np.abs(phi.coeffs).max() == 0.0
 
     def test_poisson_guess_independent_of_magnetization_constants(self):
@@ -49,10 +64,10 @@ class TestInitialGuesses:
                 axis=1,
             )
 
-        phi_a, _ = driver.initial_guess_phi(driver.Problem(
+        phi_a, _ = poisson_seed(driver.Problem(
             FhdConfig(n=6, params=MaterialParams(Ms=1.0, gamma=1.0), h_ext=h_ext)
         ))
-        phi_b, _ = driver.initial_guess_phi(driver.Problem(
+        phi_b, _ = poisson_seed(driver.Problem(
             FhdConfig(n=6, params=MaterialParams(Ms=3.0, gamma=2.0), h_ext=h_ext)
         ))
         assert np.array_equal(phi_a.coeffs, phi_b.coeffs)
@@ -65,7 +80,7 @@ class TestInitialGuesses:
         gaps = []
         for n in (8, 16):
             prob = driver.Problem(make_cfg(n=n, picard_iters=6))
-            phi0, _ = driver.initial_guess_phi(prob)
+            phi0, _ = poisson_seed(prob)
             phi, _ = driver.picard_elliptic(prob)
             gaps.append(prob.grad_norm_phi(phi0.coeffs - phi.coeffs))
         assert all(g < 0.06 for g in gaps)
@@ -73,13 +88,13 @@ class TestInitialGuesses:
 
     def test_stokes_guess_zero_force(self):
         cfg = FhdConfig(n=4, h_ext=zero_external)
-        u, p, rep = driver.initial_guess_velocity(driver.Problem(cfg))
+        u, p, rep = stokes_seed(driver.Problem(cfg))
         assert np.abs(u.coeffs).max() == 0.0
         assert np.abs(p.coeffs).max() == 0.0
 
     def test_stokes_guess_divergence_orthogonal_and_mean_free(self):
         prob = driver.Problem(make_cfg(n=8))
-        u, p, rep = driver.initial_guess_velocity(prob)
+        u, p, rep = stokes_seed(prob)
         div = prob.saddle.B @ u.coeffs
         assert np.abs(div).max() < 1e-10
         assert abs(prob.saddle.mean @ p.coeffs) < 1e-12 * max(np.abs(p.coeffs).max(), 1)
@@ -92,8 +107,8 @@ class TestPicard:
         assert np.abs(phi.coeffs).max() == 0.0
 
     def test_converges_to_nonlinear_solution(self):
-        # tolerance mode: the nonlinear residual vanishes at stagnation
-        cfg = make_cfg(n=8, picard_iters=30, picard_tol=1e-12)
+        # the nonlinear residual vanishes at stagnation
+        cfg = make_cfg(n=8, picard_iters=30)
         prob = driver.Problem(cfg)
         phi, info = driver.picard_elliptic(prob)
         a = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.params)
@@ -154,7 +169,7 @@ class TestFactorReuse:
             oseen_iters=oseen_iters,
         ))
         assert len(calls) == factorizations == 2 + oseen_iters
-        reports = sol.diagnostics["picard"]["reports"]
+        reports = sol.diagnostics["potential"]["reports"]
         assert reports[0].iterations == 0 < reports[1].iterations
         assert len({r.fill for r in reports}) == 1
         assert all(r.iterations > 0 for r in sol.diagnostics["recovery_reports"].values())
@@ -197,15 +212,52 @@ class TestFactorReuse:
         scale = np.abs(phi_ref.coeffs).max()
         assert np.abs(phi.coeffs - phi_ref.coeffs).max() <= 1e-9 * scale
 
-    def test_sweeps_on_shared_problem_reuse_the_seed_factor(self, monkeypatch):
-        # the one-sweep-at-a-time pattern of verify.check_stability_bounds
-        prob = driver.Problem(make_cfg(n=8, picard_iters=1))
+
+def _chain(name, prob, start):
+    """One call of a chain: its iterate, the iterate's coefficients, its info."""
+    if name == "potential":
+        phi, info = driver.picard_elliptic(prob, start)
+        return phi, phi.coeffs, info
+    u, p, info = driver.oseen_ns(prob, start)
+    return (u, p), np.concatenate([u.coeffs, p.coeffs]), info
+
+
+class TestFixedPointLoop:
+    @pytest.mark.parametrize("chain", ["potential", "flow"])
+    @pytest.mark.parametrize("pair, n", [("l0", 8), ("l1", 4)])
+    def test_chained_one_sweep_calls_equal_one_call(self, monkeypatch, chain, pair, n):
+        # the one-sweep-at-a-time pattern of verify.check_stability_bounds:
+        # the seed factor and the pressure warm start carry over the calls
+        sweeps = 3
+        case = CASE if pair == "l0" else verify.case_2d_l1()
+
+        def problem(iters):
+            return driver.Problem(FhdConfig(
+                n=n, pair=pair, case=case, picard_iters=iters, oseen_iters=iters
+            ))
+
+        whole_prob = problem(sweeps)
+        x, whole, info = _chain(chain, whole_prob, None)
+        assert len(info["reports"]) == sweeps + 1
+        assert len(info["updates"]) == sweeps
+        _, _, resumed = _chain(chain, whole_prob, x)
+        assert len(resumed["reports"]) == len(resumed["updates"]) == sweeps
+
+        prob = problem(1)
         calls = _count_splu(monkeypatch)
-        phi, _ = driver.initial_guess_phi(prob)
-        for _ in range(3):
-            phi, info = driver.picard_elliptic(prob, phi)
-            assert info["reports"][0].iterations > 0
-        assert len(calls) == 1
+        x, reports, updates = None, [], []
+        for k in range(sweeps):
+            x, chained, step_info = _chain(chain, prob, x)
+            assert len(step_info["reports"]) == (2 if k == 0 else 1)
+            assert len(step_info["updates"]) == 1
+            reports += step_info["reports"]
+            updates += step_info["updates"]
+        assert np.array_equal(chained, whole)
+        assert np.array_equal(updates, info["updates"])
+        assert [r.iterations for r in reports] == [r.iterations for r in info["reports"]]
+        # the potential chain factors its seed alone; the flow chain factors
+        # the seed's velocity block and each sweep's
+        assert len(calls) == (1 if chain == "potential" else sweeps + 1)
 
 
 class TestOseen:

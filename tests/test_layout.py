@@ -93,3 +93,38 @@ def test_no_module_calls_dense_eigensolvers():
     # verify; a dense Cholesky/eigh path beside it would be a second answer
     # to the same question (the dense oracle is in tests/test_verify.py)
     assert [use for name in ("eigh", "cho_factor", "cho_solve") for use in _references(name)] == []
+
+
+def _counted_loop(node) -> bool:
+    """A ``while`` loop, or a ``for`` loop over ``range(...)``."""
+    if isinstance(node, ast.While):
+        return True
+    return (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "range")
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, without those of functions nested in it."""
+    stack = [func]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, (ast.FunctionDef, ast.Lambda)))
+
+
+def test_driver_has_one_sweep_loop():
+    # both nonlinear chains run driver's one fixed-point loop, whose first
+    # step is the seed; a second sweep loop would be a second place for the
+    # sweep record (reports, updates) to drift
+    path = PACKAGE / "driver.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    looping = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               and any(_counted_loop(node) for node in _own_nodes(func))]
+    assert len(looping) == 1, looping
+
+
+def test_no_seed_wrappers_or_sweep_tolerance():
+    # the seed is the loop's first step, and the chains run fixed sweep counts
+    names = ("picard_tol", "initial_guess_phi", "initial_guess_velocity")
+    assert [use for name in names for use in _references(name)] == []

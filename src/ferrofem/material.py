@@ -23,6 +23,9 @@ import numpy as np
 # absolute error well under 1e-12 at the switch
 _SMALL = 1e-2
 _LARGE = 30.0
+# e^{-2y} is 0 in double precision beyond y ~ 372.6; the large branches clamp
+# y here first, so that -2y cannot overflow for y near the largest double
+_EXP_ZERO = 400.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ def _langevin_over_y(y):
 
     yl = y[large]
     # coth(y) = 1 + 2 e^{-2y} / (1 - e^{-2y}), overflow-free
-    e = np.exp(-2.0 * yl)
+    e = np.exp(-2.0 * np.minimum(yl, _EXP_ZERO))
     out[large] = (1.0 + 2.0 * e / (1.0 - e) - 1.0 / yl) / yl
     return out
 
@@ -113,8 +116,9 @@ def _log_sinh_over_y(y):
     out[mid] = np.log(np.sinh(ym) / ym)
 
     yl = y[large]
+    e = np.exp(-2.0 * np.minimum(yl, _EXP_ZERO))
     # ln sinh(y) = y - ln 2 + ln(1 - e^{-2y})
-    out[large] = yl - np.log(2.0) + np.log1p(-np.exp(-2.0 * yl)) - np.log(yl)
+    out[large] = yl - np.log(2.0) + np.log1p(-e) - np.log(yl)
     return out
 
 

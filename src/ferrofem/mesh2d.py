@@ -160,13 +160,3 @@ def mesh_size(mesh: Mesh2D) -> float:
     """Largest triangle diameter (longest edge over all triangles)."""
     d = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
     return float(np.sqrt((d * d).sum(axis=1)).max())
-
-
-def shuffled(mesh: Mesh2D, perm) -> Mesh2D:
-    """Copy of the mesh with its triangles listed in a different order.
-
-    The global edge numbering is unchanged; only the element traversal order
-    differs. Used to check assembly-order independence.
-    """
-    perm = np.asarray(perm, dtype=np.int64)
-    return from_arrays(mesh.vertices, mesh.triangles[perm])

@@ -31,6 +31,15 @@ def _jittered_square(n: int, seed: int = 0):
     return mesh2d.from_arrays(vertices, mesh.triangles)
 
 
+def shuffled(mesh, perm):
+    """Copy of the mesh with its triangles listed in a different order.
+
+    The global edge numbering is unchanged; only the element traversal order
+    differs. Used to check assembly-order independence.
+    """
+    return mesh2d.from_arrays(mesh.vertices, mesh.triangles[np.asarray(perm, dtype=np.int64)])
+
+
 @pytest.fixture
 def jittered_square():
     """Builder ``(n, seed=0) -> Mesh2D`` of a seeded jittered unit-square mesh."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import shuffled
 from ferrofem import assembly, fespace, linalg, material, mesh2d, refelem
 from ferrofem.fespace import FEField
 from ferrofem.material import MaterialParams
@@ -359,13 +360,13 @@ class TestTraversalOrderIndependence:
     def test_shuffled_elements_give_same_matrices(self, builder):
         mesh = mesh2d.build_uniform_square(5)
         perm = np.random.default_rng(9).permutation(mesh.n_triangles)
-        shuffled = mesh2d.shuffled(mesh, perm)
+        permuted = shuffled(mesh, perm)
         if builder == "stiffness":
             a = assembly.assemble_weighted_stiffness(fespace.build_space(mesh, "P1"))
-            b = assembly.assemble_weighted_stiffness(fespace.build_space(shuffled, "P1"))
+            b = assembly.assemble_weighted_stiffness(fespace.build_space(permuted, "P1"))
         elif builder == "edge_mass":
             a = assembly.assemble_edge_mass(fespace.build_space(mesh, "NE0"))
-            b = assembly.assemble_edge_mass(fespace.build_space(shuffled, "NE0"))
+            b = assembly.assemble_edge_mass(fespace.build_space(permuted, "NE0"))
         else:
             a = assembly.assemble_stokes_blocks(
                 fespace.build_space(mesh, "CR", components=2),
@@ -375,8 +376,8 @@ class TestTraversalOrderIndependence:
             # compare the velocity block only: CR dofs ride the (order-
             # independent) edge numbering, while P0 dofs would permute
             b = assembly.assemble_stokes_blocks(
-                fespace.build_space(shuffled, "CR", components=2),
-                fespace.build_space(shuffled, "P0"),
+                fespace.build_space(permuted, "CR", components=2),
+                fespace.build_space(permuted, "P0"),
                 eta=1.0,
             ).A
         diff = abs(a - b)

@@ -128,3 +128,19 @@ def test_no_seed_wrappers_or_sweep_tolerance():
     # the seed is the loop's first step, and the chains run fixed sweep counts
     names = ("picard_tol", "initial_guess_phi", "initial_guess_velocity")
     assert [use for name in names for use in _references(name)] == []
+
+
+def test_every_eigsh_call_passes_its_own_factor():
+    # without OPinv, eigsh factors A - sigma M itself with scipy's default
+    # splu (COLAMD and partial pivoting), not the package's symmetric one
+    calls = []
+    for stem in MODULES:
+        path = PACKAGE / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "eigsh" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                calls.append((f"{path.name}:{node.lineno}",
+                              any(kw.arg == "OPinv" for kw in node.keywords)))
+    assert calls, "no eigsh call found"
+    assert [where for where, ok in calls if not ok] == []

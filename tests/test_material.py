@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ class TestAlpha:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             material.alpha(-1.0, P1)
+
+    def test_largest_arguments_warn_nothing(self):
+        # -2y in the large branches' e^{-2y} overflowed beyond y ~ 9e307 and
+        # warned on stderr; the branches clamp y first (e^{-2y} is 0 there)
+        big = MaterialParams(gamma=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert material.langevin(1e308) == pytest.approx(1.0, abs=1e-15)
+            assert material.alpha(1e308, P1) == pytest.approx(1.0, abs=1e-15)
+            assert material.alpha(1.0, big) == pytest.approx(2.0, abs=1e-15)  # gamma L(y)/y
+            assert material.beta(1e308, P1) == pytest.approx(1e308, rel=1e-15)
+            assert np.isfinite(material.magnetization(np.array([1.0, 0.0]), big)).all()
 
     @given(st.floats(min_value=1e-12, max_value=1e6))
     @settings(max_examples=200, deadline=None)

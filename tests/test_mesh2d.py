@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import shuffled
 from ferrofem import mesh2d
 
 
@@ -103,7 +104,7 @@ def test_shuffled_preserves_edges_and_topology():
     m = mesh2d.build_uniform_square(4)
     rng = np.random.default_rng(3)
     perm = rng.permutation(m.n_triangles)
-    ms = mesh2d.shuffled(m, perm)
+    ms = shuffled(m, perm)
     assert np.array_equal(ms.edges, m.edges)
     assert np.array_equal(ms.boundary_edge, m.boundary_edge)
     assert np.array_equal(ms.triangles, m.triangles[perm])

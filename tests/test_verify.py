@@ -335,11 +335,46 @@ class TestBattery:
                 assert got == pytest.approx(beta, rel=1e-6)
 
     @pytest.mark.parametrize("pair", ["l0", "l1"])
-    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_infsup_constant_matches_dense_oracle(self, pair, n):
+        # N=16 is the battery's finest level, where the growth of the
+        # pivot-free factorization is largest
         assert verify.infsup_constant(pair, n) == pytest.approx(
             _dense_infsup_constant(pair, n), rel=1e-12
         )
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_infsup_constant_factors_the_shifted_pencil_once(self, monkeypatch, pair):
+        factors, eigsh_kwargs = [], []
+        real_splu, real_eigsh = verify.spla.splu, verify.spla.eigsh
+
+        def splu(a, **kwargs):
+            lu = real_splu(a, **kwargs)
+            factors.append((kwargs, lu))
+            return lu
+
+        def eigsh(a, **kwargs):
+            eigsh_kwargs.append(kwargs)
+            return real_eigsh(a, **kwargs)
+
+        monkeypatch.setattr(verify.spla, "splu", splu)
+        monkeypatch.setattr(verify.spla, "eigsh", eigsh)
+        for n in verify.INFSUP_LEVELS:
+            factors.clear()
+            eigsh_kwargs.clear()
+            verify.infsup_constant(pair, n)
+            # one symmetric-mode factor on MMD(A + A'), no pivoting: the
+            # pencil is symmetric quasi-definite
+            [(kwargs, lu)] = factors
+            assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+            assert kwargs["diag_pivot_thresh"] == 0.0
+            assert kwargs["options"] == {"SymmetricMode": True}
+            [kw] = eigsh_kwargs
+            assert kw["OPinv"] is not None
+        # the finest l1 factor: ~219k entries; scipy's default COLAMD with
+        # partial pivoting gives 357k
+        if pair == "l1":
+            assert lu.nnz < 300_000
 
     def test_negative_control_hydrostatic_mode_lost_fails(self, monkeypatch):
         # one free entry of the P0 pair's divergence scaled by 1.5:

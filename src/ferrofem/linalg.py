@@ -10,10 +10,14 @@ nothing. Every solve verifies its own residual: a returned
 :class:`SolveReport` (residual, iteration count and the fill of the factor
 used) means the solve succeeded, and a failed one raises
 :class:`SolverError` with a message naming the failure.
-Every matrix factored here is structurally symmetric (the SPD potential
-matrices and the velocity block, whose sparsity convection does not change),
-so every factorization uses one fill-reducing ordering: minimum degree on
-the structure of ``A + A'``.
+
+:func:`factor` makes every factorization in the package: SuperLU in symmetric
+mode on minimum degree of ``A + A'``, no pivoting. Each matrix factored has an
+LU without pivoting under any symmetric order (Golub & Van Loan, section 4.2):
+the potential matrices are SPD, the velocity block is positive real (SPD
+viscous part, skew convection, symmetric pattern) and :mod:`verify`'s shifted
+inf-sup pencil is symmetric quasi-definite (Vanderbei, 1995). Pivots would
+leave that order and add fill; the residual checks see any element growth.
 
 Saddle-point systems are solved blockwise: the velocity operator is one
 scalar block applied to both components, so that block is factored, and the
@@ -75,8 +79,13 @@ class SolveReport:
     fill: int  # nonzeros of the L and U factors used; 0 for Jacobi CG
 
 
-def _splu(a_csc):
-    return spla.splu(a_csc, permc_spec="MMD_AT_PLUS_A")
+def factor(a: sp.spmatrix):
+    """SuperLU factor of ``a`` by the policy above; SolverError on breakdown."""
+    try:
+        return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"factorization failed: {exc}") from exc
 
 
 class ReusedFactor:
@@ -180,27 +189,23 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, precond, x0=None):
     """
     a = a.tocsc()
     asym = abs(a - a.T)
-    scale = max(abs(a).max(), 1.0)
-    if asym.nnz and asym.max() > 1e-12 * scale:
+    if asym.nnz and asym.max() > 1e-12 * abs(a).max():
         raise SolverError("matrix is not symmetric")
     b = np.asarray(b, dtype=float)
     iterations = fill = 0
-    try:
-        if isinstance(precond, ReusedFactor):
-            x = None
-            if precond.lu is not None:
-                x, iterations = _cg(a, b, precond.lu.solve, x0, CG_MAXITER)
-            if x is None:
-                precond.lu = _splu(a)
-                x = precond.lu.solve(b)
-            fill = precond.lu.nnz
-        elif precond == "jacobi":
-            diag = a.diagonal()
-            x, iterations = _cg(a, b, lambda r: r / diag, x0, JACOBI_MAXITER)
-        else:
-            raise ValueError(f"unknown preconditioner {precond!r}")
-    except RuntimeError as exc:
-        raise SolverError(f"factorization failed: {exc}") from exc
+    if isinstance(precond, ReusedFactor):
+        x = None
+        if precond.lu is not None:
+            x, iterations = _cg(a, b, precond.lu.solve, x0, CG_MAXITER)
+        if x is None:
+            precond.lu = factor(a)
+            x = precond.lu.solve(b)
+        fill = precond.lu.nnz
+    elif precond == "jacobi":
+        diag = a.diagonal()
+        x, iterations = _cg(a, b, lambda r: r / diag, x0, JACOBI_MAXITER)
+    else:
+        raise ValueError(f"unknown preconditioner {precond!r}")
     if x is None:  # Jacobi CG reached the cap
         raise SolverError(f"Jacobi CG not converged after {iterations} iterations")
     if not np.all(np.isfinite(x)):
@@ -228,11 +233,13 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     multiplier is ``lam = sum(lift_p) / sum(m)``. The pressure solves
     ``B_f A_ff^-1 B_f' p = lift_p - lam m - B_f A_ff^-1 lift_u`` by the
     module's unrestarted CGS2 GMRES, right-preconditioned with ``diag(m)``,
-    the lumped pressure mass; it is shifted to zero mean and the velocity
-    follows from one more block solve. GMRES stops when its Givens residual,
-    the pressure-row residual, is below :data:`SCHUR_RTOL` of the larger of
-    the Schur and the full right-hand side; the full-system residual is then
-    computed and checked against :data:`SADDLE_RTOL`.
+    the lumped pressure mass, and the velocity follows from one more block
+    solve. As ``B_f' 1 = 0``, the Schur right-hand side, the start ``m * p0``
+    and every Krylov vector sum to zero, so ``m' p`` needs no shift to zero.
+    GMRES stops when its Givens residual, the pressure-row residual, is below
+    :data:`SCHUR_RTOL` of the larger of the Schur and the full right-hand
+    side; the full-system residual is then computed and checked against
+    :data:`SADDLE_RTOL`.
 
     ``p0`` is an initial pressure, typically the previous Oseen sweep's;
     GMRES then starts from ``m * p0``, the right-preconditioned unknown.
@@ -259,16 +266,13 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     lift_u = lift_cols.T.ravel()
     b_f = sp.csr_matrix(sys.B[:, free])
     b_ft = b_f.T.tocsr()
-    lift_p = -(sys.B[:, ~free] @ sys.g[~free])
+    lift_p = -(sys.B @ sys.g)  # g is zero on the free dofs
 
     h = a_ff.shape[0]
     # allocated before the factor: above its buffers in the heap, a live array
     # would keep their memory resident once freed (only the top is given back)
     u = sys.g.copy()
-    try:
-        lu = _splu(a_ff.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"velocity block factorization failed: {exc}") from exc
+    lu = factor(a_ff)
 
     def a_inv(x):
         # both components in one two-column triangular solve; the transposed
@@ -288,7 +292,6 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     if y is None:
         raise SolverError(f"Schur GMRES not converged after {iterations} iterations")
     p = y / mean
-    p = p - (mean @ p) / mean.sum()
     u_f = a_inv(lift_u + b_ft @ p)
     if not np.all(np.isfinite(u_f)):
         raise SolverError("non-finite saddle solution")
@@ -306,8 +309,9 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
 def reduce_dirichlet(a: sp.spmatrix, b: np.ndarray, free: np.ndarray, g=None):
     """Restrict ``a x = b`` to the free dofs, lifting prescribed values ``g``.
 
-    ``b`` and ``g`` may carry one column per right-hand side. ``g=None``
-    means zero values, which need no lift. Returns
+    ``b`` and ``g`` may carry one column per right-hand side. ``g`` is zero
+    on the free dofs, so the lift is ``a[free] @ g``; ``g=None`` means zero
+    values, which need no lift. Returns
     ``(a_ff, b_f, expand)`` where ``expand`` maps a free-dof solution back to
     full length with the prescribed values filled in.
     """
@@ -317,7 +321,7 @@ def reduce_dirichlet(a: sp.spmatrix, b: np.ndarray, free: np.ndarray, g=None):
         g = np.zeros(a.shape[0])
         b_f = b[free]
     else:
-        b_f = b[free] - a_free[:, ~free] @ g[~free]
+        b_f = b[free] - a_free @ g
 
     def expand(x_f):
         x = g.copy()

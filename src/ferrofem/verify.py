@@ -624,18 +624,14 @@ def infsup_constant(pair: str, n: int) -> float:
     # sigma < 0: every eigenvalue is >= 0, so the two nearest sigma are always
     # the hydrostatic 0 and beta^2 (sigma = +0.1 at l1 N=16 gives beta^2 and
     # the next one, 0.13355 and 0.13408); and a - sigma m =
-    # [[-X, -B'], [-B, |sigma| Mp]] is symmetric quasi-definite (Vanderbei
-    # 1995), so it has an LDL' factorization under every symmetric
-    # permutation: it is factored once, on MMD(A + A') in symmetric mode with
-    # no pivoting (pivots would leave that order to dodge the near-zero
-    # |sigma| Mp block; eigsh's own factor, COLAMD with partial pivoting,
-    # holds 357k entries at l1 N=16 against 219k here)
+    # [[-X, -B'], [-B, |sigma| Mp]] is symmetric quasi-definite, so it is
+    # factored once, by linalg.factor (eigsh's own factor, COLAMD with
+    # partial pivoting, holds 357k entries at l1 N=16 against 219k here)
     sigma = -0.05
     shifted = sp.bmat(
         [[-x, None, -b1.T], [None, -x, -b2.T], [-b1, -b2, -sigma * mp]], format="csc"
     )
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    lu = linalg.factor(shifted)
     pressure = sp.eye(mp.shape[0], shifted.shape[0], k=b_f.shape[1], format="csr")
     m = pressure.T @ mp @ pressure  # diag(0, 0, Mp)
     # given OPinv, eigsh reads only the shape and dtype of a

@@ -88,6 +88,12 @@ def test_no_module_calls_scipy_gmres():
     assert _references("gmres") == []
 
 
+def test_only_linalg_factor_calls_splu():
+    # every factorization goes through linalg.factor, the one place that
+    # chooses the ordering and the pivoting
+    assert [use.split(":")[0] for use in _references("splu")] == ["linalg.py"]
+
+
 def test_no_module_calls_dense_eigensolvers():
     # the inf-sup constants come from one sparse shift-invert eigensolve in
     # verify; a dense Cholesky/eigh path beside it would be a second answer

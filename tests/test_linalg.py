@@ -70,6 +70,43 @@ class TestSolveSpd:
         ):
             linalg.solve_spd(a, np.array([1.0, 0.0]), linalg.ReusedFactor())
 
+    def test_rejects_mass_with_small_relative_asymmetry(self):
+        # the P1 mass at N=64 has entries of ~1e-4, so the bound must be
+        # relative: one off-diagonal entry moved by 1e-9 of itself is ~1e-14
+        # absolute, against assembled asymmetries of ~2e-16 relative
+        mass = assembly.assemble_scalar_mass(
+            fespace.build_space(mesh2d.build_uniform_square(64), "P1")
+        ).tocsr().tocoo()
+        assert np.abs(mass.data).max() < 2e-4
+        mass.data[np.flatnonzero(mass.row != mass.col)[0]] *= 1.0 + 1e-9
+        with pytest.raises(SolverError, match="not symmetric"):
+            linalg.solve_spd(mass, np.ones(mass.shape[0]), "jacobi")
+
+
+class TestFactor:
+    def test_symmetric_mode_without_pivoting_on_mmd(self, monkeypatch):
+        # every factor in the package: SuperLU in symmetric mode on
+        # MMD(A + A'), taking each diagonal pivot
+        calls = []
+        real = linalg.spla.splu
+
+        def splu(a, **kwargs):
+            calls.append(kwargs)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "splu", splu)
+        a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        lu = linalg.factor(a)
+        assert lu.solve(np.array([1.0, 2.0])) == pytest.approx([1 / 11, 7 / 11], rel=1e-14)
+        [kwargs] = calls
+        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        assert kwargs["diag_pivot_thresh"] == 0.0
+        assert kwargs["options"] == {"SymmetricMode": True}
+
+    def test_breakdown_raises_solver_error(self):
+        with pytest.raises(SolverError, match="factorization failed"):
+            linalg.factor(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+
 
 def _nonsymmetric(n=12, seed=5):
     """A well-conditioned nonsymmetric dense matrix and its matvec."""
@@ -111,6 +148,17 @@ class TestGmres:
         x, iterations = linalg._gmres(matvec, b, x0, 0.0)
         assert iterations == 0
         assert x is x0
+
+    def test_small_next_vector_is_no_breakdown(self):
+        # two eigenvalues 1e-9 apart: the second basis vector is ~5e-10 of
+        # its image, far above round-off, and a step that took it for a
+        # breakdown would stop with an error of ~5e-10
+        d = np.repeat([1.0, 1.0 + 1e-9], 8)
+        b = np.random.default_rng(8).standard_normal(d.size)
+        x, iterations = linalg._gmres(lambda v: d * v, b, None, 0.0)
+        assert iterations == 2
+        x_ref = np.linalg.solve(np.diag(d), b)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
     def test_singular_breakdown_fails_without_dividing(self):
         # the first step breaks down with a zero pivot: no least-squares step
@@ -158,12 +206,27 @@ class TestSolveSaddle:
         assert np.abs(u - uex.coeffs).max() < 1e-9
         assert np.abs(p).max() < 1e-9
 
-    def test_pressure_mean_zero_for_random_rhs(self):
+    def test_pressure_mean_zero_for_random_rhs(self, monkeypatch):
+        # a random right-hand side, and every solve of a warm-started Oseen
+        # chain, whose starts could carry a mean from sweep to sweep
         rng = np.random.default_rng(1)
         v, w, sys = _stokes_system()
         sys.rhs_u = rng.standard_normal(v.n_dofs)
-        u, p, rep = linalg.solve_saddle(sys)
-        assert abs(sys.mean @ p) <= 1e-12 * max(np.abs(p).max(), 1.0)
+        solved = [(sys.mean, linalg.solve_saddle(sys)[1])]
+        real = linalg.solve_saddle
+
+        def recording(sys, p0=None):
+            u, p, rep = real(sys, p0)
+            solved.append((sys.mean, p))
+            return u, p, rep
+
+        monkeypatch.setattr(linalg, "solve_saddle", recording)
+        prm = MaterialParams(gamma=4.0, eta=0.5, rho=15.0)
+        cfg = FhdConfig(n=8, pair="l1", params=prm, case=verify.case_2d_l1(prm), oseen_iters=6)
+        driver.oseen_ns(driver.Problem(cfg))
+        assert len(solved) == 1 + 7
+        for mean, p in solved:
+            assert abs(mean @ p) <= 1e-12 * max(np.abs(p).max(), 1.0)
 
     def test_divergence_orthogonality(self):
         rng = np.random.default_rng(2)
@@ -276,7 +339,7 @@ class TestSchurSolve:
         a_ff, lift_cols, _ = linalg.reduce_dirichlet(
             sys.A, sys.rhs_u.reshape(2, n).T, free[:n], sys.g.reshape(2, n).T
         )
-        lu = linalg._splu(a_ff.tocsc())
+        lu = linalg.factor(a_ff)
         b_f = sp.csr_matrix(sys.B[:, free])
         lift_u = lift_cols.T.ravel()
         lift_p = -(sys.B[:, ~free] @ sys.g[~free])

@@ -123,6 +123,14 @@ class TestBeta:
         assert np.all(bp > 0.0)
         assert np.all(bp <= P1.Ms + 1e-8)
 
+    @pytest.mark.parametrize("prm", [P1, MaterialParams(gamma=4.0, Ms=2.0)])
+    def test_finite_differences_match_closed_form_derivative(self, prm):
+        # beta'(x) = Ms L(gamma x); the relative step 1e-6 leaves ~2e-10, a
+        # step of 1e-2 ~2e-3 near the origin
+        xs = np.logspace(-6, 3, 1000)
+        exact = prm.Ms * material.langevin(prm.gamma * xs)
+        assert np.abs(material.beta_prime_fd(xs, prm) - exact).max() <= 1e-8 * prm.Ms
+
 
 class TestMagnetization:
     def test_zero_field(self):

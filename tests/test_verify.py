@@ -346,29 +346,26 @@ class TestBattery:
     @pytest.mark.parametrize("pair", ["l0", "l1"])
     def test_infsup_constant_factors_the_shifted_pencil_once(self, monkeypatch, pair):
         factors, eigsh_kwargs = [], []
-        real_splu, real_eigsh = verify.spla.splu, verify.spla.eigsh
+        real_factor, real_eigsh = verify.linalg.factor, verify.spla.eigsh
 
-        def splu(a, **kwargs):
-            lu = real_splu(a, **kwargs)
-            factors.append((kwargs, lu))
+        def factor(a):
+            lu = real_factor(a)
+            factors.append(lu)
             return lu
 
         def eigsh(a, **kwargs):
             eigsh_kwargs.append(kwargs)
             return real_eigsh(a, **kwargs)
 
-        monkeypatch.setattr(verify.spla, "splu", splu)
+        monkeypatch.setattr(verify.linalg, "factor", factor)
         monkeypatch.setattr(verify.spla, "eigsh", eigsh)
         for n in verify.INFSUP_LEVELS:
             factors.clear()
             eigsh_kwargs.clear()
             verify.infsup_constant(pair, n)
-            # one symmetric-mode factor on MMD(A + A'), no pivoting: the
-            # pencil is symmetric quasi-definite
-            [(kwargs, lu)] = factors
-            assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
-            assert kwargs["diag_pivot_thresh"] == 0.0
-            assert kwargs["options"] == {"SymmetricMode": True}
+            # one factor of the pencil, by the package's one LU (its options
+            # are tested in tests/test_linalg.py), handed to eigsh
+            [lu] = factors
             [kw] = eigsh_kwargs
             assert kw["OPinv"] is not None
         # the finest l1 factor: ~219k entries; scipy's default COLAMD with

@@ -4,7 +4,9 @@ All kernels are vectorized over elements and reference-first: per-point
 data is mapped to reference coordinates (J^-1 for vectors, det J^-1 J^-T for
 gradient products) and contracted with a reference basis table in one matrix
 product over all elements. Local matrices are scattered through COO -> CSR,
-which sums duplicates deterministically. Sparse storage is scipy CSR.
+which sums duplicates deterministically. Sparse storage is scipy CSR. Load
+vectors evaluate their data over element blocks (``fespace.element_blocks``)
+and scatter the joined local vectors once.
 
 Quadrature policy, decided here alone: terms with polynomial integrands
 use a rule exact for the integrand; terms carrying the non-polynomial
@@ -56,6 +58,23 @@ def _source(src, mesh, rule) -> np.ndarray:
     return vals.reshape((mesh.n_triangles, rule.n_points) + vals.shape[1:])
 
 
+def _local_loads(space: FESpace, src, rule, kernel) -> np.ndarray:
+    """Local load vectors ``kernel(tab, data)`` of every element, by element blocks.
+
+    ``tab`` is a block's tabulation of ``space`` and ``data`` the block's
+    ``_source`` values; a field's space is restricted with ``space``. Blocks
+    join along the element axis (the second last), so the one scatter sums
+    in the same order whatever the block size.
+    """
+    field = src[0] if isinstance(src, tuple) else None
+    spaces = (space,) if field is None else (space, field.space)
+    parts = []
+    for block in fespace.element_blocks(*spaces):
+        data = src if field is None else (FEField(block[1], field.coeffs), src[1])
+        parts.append(kernel(fespace.tabulate(block[0], rule), _source(data, block[0].mesh, rule)))
+    return np.concatenate(parts, axis=-2)
+
+
 def _load_rule(space: FESpace, src):
     """Rule of a projection load onto ``space``, set by the space of its data."""
     data_space = src[0].space if isinstance(src, tuple) else space
@@ -72,9 +91,9 @@ def _scatter_vector(local, dofs, n) -> np.ndarray:
     return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=n)
 
 
-def _dx(mesh, rule):
+def _dx(tab):
     """Quadrature weights times Jacobian determinants, shape (nt, nq)."""
-    return rule.weights[None, :] * mesh.det[:, None]
+    return tab.rule.weights[None, :] * tab.det[:, None]
 
 
 def _gram(space: FESpace, tab, table, coeff=None) -> sp.csr_matrix:
@@ -97,15 +116,15 @@ def _gram(space: FESpace, tab, table, coeff=None) -> sp.csr_matrix:
     return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
 
 
-def _pairing_load(space: FESpace, tab, table, data) -> np.ndarray:
-    """Load vector of int data . (J^-T t_i) for a (ndof, nq, 2) reference table.
+def _pairing(tab, table, data) -> np.ndarray:
+    """Local vectors of int data . (J^-T t_i) for a (ndof, nq, 2) reference table.
 
-    ``data`` (nt, nq, 2) carries the measure; v . (J^-T g) = (J^-1 v) . g.
+    ``data`` (nt, nq, 2) is weighted here by the measure; v . (J^-T g) =
+    (J^-1 v) . g.
     """
     nt, ndof = tab.signs.shape
-    ref = (data @ tab.jac_inv.transpose(0, 2, 1)).reshape(nt, -1)
-    local = (ref @ table.transpose(1, 2, 0).reshape(-1, ndof)) * tab.signs
-    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
+    ref = ((data * _dx(tab)[:, :, None]) @ tab.jac_inv.transpose(0, 2, 1)).reshape(nt, -1)
+    return (ref @ table.transpose(1, 2, 0).reshape(-1, ndof)) * tab.signs
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +159,8 @@ def assemble_weighted_stiffness(
 def _flux_load(space: FESpace, src, flux) -> np.ndarray:
     """Load vector tau -> int flux(v) . grad(tau) for the vector data ``v`` of ``src``."""
     rule = refelem.quadrature(2 + _POLY_DEG[space.family] + QUAD_BUMP)
-    tab = fespace.tabulate(space, rule)
-    data = flux(_source(src, space.mesh, rule)) * _dx(space.mesh, rule)[:, :, None]
-    return _pairing_load(space, tab, tab.grads, data)
+    local = _local_loads(space, src, rule, lambda tab, v: _pairing(tab, tab.grads, flux(v)))
+    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
 
 
 def elliptic_rhs_manufactured(space: FESpace, grad_phi, params: MaterialParams) -> np.ndarray:
@@ -181,10 +199,9 @@ def assemble_edge_rhs(space: FESpace, src) -> np.ndarray:
     ``src`` gives the vector data ``v`` (see the module docstring), e.g. the
     magnetization law applied to the recovered magnetic field.
     """
-    rule = _load_rule(space, src)
-    tab = fespace.tabulate(space, rule)
-    vals = _source(src, space.mesh, rule) * _dx(space.mesh, rule)[:, :, None]
-    return _pairing_load(space, tab, tab.values, vals)
+    local = _local_loads(space, src, _load_rule(space, src),
+                         lambda tab, v: _pairing(tab, tab.values, v))
+    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
 
 
 def assemble_scalar_mass(space: FESpace) -> sp.csr_matrix:
@@ -202,10 +219,9 @@ def assemble_scalar_rhs(space: FESpace, src) -> np.ndarray:
     ``src`` gives the scalar data ``f`` (see the module docstring), e.g. the
     pressure potential beta(|H|) - beta(0) of the recovered magnetic field.
     """
-    rule = _load_rule(space, src)
-    tab = fespace.tabulate(space, rule)
-    vals = _source(src, space.mesh, rule) * _dx(space.mesh, rule)
-    return _scatter_vector(vals @ tab.values.T, space.cell_dofs, space.n_scalar)
+    local = _local_loads(space, src, _load_rule(space, src),
+                         lambda tab, f: (f * _dx(tab)) @ tab.values.T)
+    return _scatter_vector(local, space.cell_dofs, space.n_scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +307,11 @@ def assemble_convection(v_space: FESpace, w_field: FEField, rho: float) -> sp.cs
     """
     if w_field.space is not v_space:
         raise ValueError("convecting field must live on the velocity space")
-    mesh = v_space.mesh
     rule = refelem.quadrature(_stokes_quad_degree(v_space.family))
     tab = fespace.tabulate(v_space, rule)
     wvals, _ = fespace.eval_field(w_field, tab)
     # C_raw[i, j] = int (w . grad phi_j) phi_i = int (J^-1 w) . grad_ref(phi_j) phi_i
-    wref = (wvals @ tab.jac_inv.transpose(0, 2, 1)) * _dx(mesh, rule)[:, :, None]
+    wref = (wvals @ tab.jac_inv.transpose(0, 2, 1)) * _dx(tab)[:, :, None]
     nt, ndof = v_space.cell_dofs.shape
     ref = np.einsum("iq,jqb->qbij", tab.values, tab.grads).reshape(-1, ndof * ndof)
     c_loc = (wref.reshape(nt, -1) @ ref).reshape(nt, ndof, ndof)
@@ -313,9 +328,8 @@ def assemble_ns_rhs(v_space: FESpace, f) -> np.ndarray:
     data.
     """
     rule = refelem.quadrature(_stokes_quad_degree(v_space.family) + QUAD_BUMP)
-    tab = fespace.tabulate(v_space, rule)
-    mesh = v_space.mesh
-    fv = _source(f, mesh, rule) * _dx(mesh, rule)[:, :, None]
-    local = fv.transpose(2, 0, 1) @ tab.values.T  # (2, nt, ndof), one per component
+    # (2, nt, ndof), one local vector per component
+    local = _local_loads(v_space, f, rule, lambda tab, fv: (
+        (fv * _dx(tab)[:, :, None]).transpose(2, 0, 1) @ tab.values.T))
     dofs = v_space.cell_dofs
     return _scatter_vector(local, np.stack([dofs, v_space.n_scalar + dofs]), v_space.n_dofs)

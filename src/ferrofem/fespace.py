@@ -8,7 +8,7 @@ coefficient level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,6 +17,10 @@ from . import refelem
 from .mesh2d import Mesh2D
 
 _GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)  # 2-point Gauss on [-1, 1]
+
+# elements per block of the per-point kernels: an (elements x points x 2)
+# array at the largest rule then stays near 0.5 MB whatever the mesh size
+ELEMENT_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,29 @@ def build_space(mesh: Mesh2D, family: str, components: int = 1) -> FESpace:
         cell_signs=cell_signs,
         dirichlet_scalar=dirichlet,
     )
+
+
+def element_blocks(*spaces: FESpace):
+    """The spaces restricted to runs of at most ``ELEMENT_BLOCK`` consecutive elements.
+
+    Yields one tuple per block: each space with the per-element arrays of its
+    mesh and dof map sliced to the block, its global numbering kept, so a
+    field's coefficient vector fits its restriction as is. A mesh of at most
+    ``ELEMENT_BLOCK`` elements is one block, the spaces themselves.
+    """
+    mesh = spaces[0].mesh
+    if any(s.mesh is not mesh for s in spaces):
+        raise ValueError("spaces live on different meshes")
+    size = ELEMENT_BLOCK
+    if mesh.n_triangles <= size:
+        yield spaces
+        return
+    for start in range(0, mesh.n_triangles, size):
+        cells = slice(start, start + size)
+        sub = replace(mesh, **{name: getattr(mesh, name)[cells] for name in (
+            "triangles", "tri_edges", "tri_edge_signs", "jac", "jac_inv", "det")})
+        yield tuple(replace(s, mesh=sub, cell_dofs=s.cell_dofs[cells],
+                            cell_signs=s.cell_signs[cells]) for s in spaces)
 
 
 # ---------------------------------------------------------------------------

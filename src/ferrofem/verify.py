@@ -212,18 +212,14 @@ def _relative(err, ref):
     return err / ref if ref >= _DIV_GUARD else err
 
 
-def field_error(field: FEField, exact, part: str = "value", quad=None, evals=None):
-    """Error and exact norm ``(err, ref)`` of one field in one norm.
+def _squares(field: FEField, exact, part, quad, evals=None):
+    """Squared error and squared exact norm of one field over ``quad``'s elements.
 
-    ``part`` picks the norm: "value" is the L2 norm, "grad" the H1 seminorm
-    (element-wise for two-component fields), "hcurl" the H(curl) graph norm
-    of an edge field against a curl-free exact field (every H here is a
-    gradient). ``exact`` is an evaluator on an (n, 2) point array, or holds
-    its values at the rule's points already. ``quad`` (from ``_quadrature``)
-    and ``evals`` (the field's ``eval_field`` output at that rule) are built
-    when not given.
+    ``exact`` is an evaluator on an (n, 2) point array, or holds its values at
+    the rule's points already; ``evals`` is the field's ``eval_field`` output
+    at that rule, evaluated here when not given.
     """
-    rule, points, w = quad or _quadrature(field.space.mesh)
+    rule, points, w = quad
     vals, second = evals or fespace.eval_field(field, fespace.tabulate(field.space, rule))
     terms = [(second if part == "grad" else vals, exact)]
     if part == "hcurl":
@@ -235,34 +231,73 @@ def field_error(field: FEField, exact, part: str = "value", quad=None, evals=Non
         ex = ex.reshape(diff.shape)  # summed by einsum, with no squared temporary
         err2 += float(np.einsum("tq,tqk,tqk->", w, diff, diff))
         ref2 += float(np.einsum("tq,tqk,tqk->", w, ex, ex))
-    return math.sqrt(max(err2, 0.0)), math.sqrt(max(ref2, 0.0))
+    return err2, ref2
+
+
+def _on(space, field: FEField) -> FEField:
+    """``field`` on ``space``, a restriction of its own space (itself for one block)."""
+    return field if space is field.space else FEField(space, field.coeffs)
+
+
+def _block_norms(blocks) -> dict:
+    """``(err, ref)`` per key from ``blocks``, one ``{key: (err^2, ref^2)}`` per element block."""
+    sums = {}
+    for block in blocks:
+        for key, (e2, r2) in block.items():
+            err2, ref2 = sums.get(key, (0.0, 0.0))
+            sums[key] = err2 + e2, ref2 + r2
+    return {key: (math.sqrt(max(e2, 0.0)), math.sqrt(max(r2, 0.0)))
+            for key, (e2, r2) in sums.items()}
+
+
+def field_error(field: FEField, exact, part: str = "value"):
+    """Error and exact norm ``(err, ref)`` of one field in one norm.
+
+    ``part`` picks the norm: "value" is the L2 norm, "grad" the H1 seminorm
+    (element-wise for two-component fields), "hcurl" the H(curl) graph norm
+    of an edge field against a curl-free exact field (every H here is a
+    gradient). ``exact`` is an evaluator on an (n, 2) point array.
+    """
+    return _block_norms(
+        {part: _squares(_on(s, field), exact, part, _quadrature(s.mesh))}
+        for (s,) in fespace.element_blocks(field.space)
+    )[part]
+
+
+def _error_squares(sol: driver.FhdSolution, case: ManufacturedCase):
+    """Per element block, the squares of every error column's parts.
+
+    One point set and one tabulation per distinct space (H and M share
+    theirs); each discrete and each exact field is evaluated once, grad(phi)
+    serving the phi, H and M columns.
+    """
+    fields = sol.phi, sol.H, sol.M, sol.p, sol.u
+    shared = sol.M.space is sol.H.space
+    for spaces in fespace.element_blocks(*(f.space for f in fields)):
+        phi, H, M, p, u = (_on(s, f) for s, f in zip(spaces, fields))
+        quad = rule, points, _ = _quadrature(phi.space.mesh)
+        grad_phi = case.grad_phi(points)
+        tab = fespace.tabulate(H.space, rule)
+        u_evals = fespace.eval_field(u, fespace.tabulate(u.space, rule))
+        yield {
+            "err_phi_h1": _squares(phi, grad_phi, "grad", quad),
+            "err_H_hcurl": _squares(H, grad_phi, "hcurl", quad, fespace.eval_field(H, tab)),
+            "err_M_l2": _squares(M, material.magnetization(grad_phi, case.params), "value",
+                                 quad, fespace.eval_field(M, tab) if shared else None),
+            "err_p_l2": _squares(p, case.p, "value", quad),
+            "u_l2": _squares(u, case.u, "value", quad, u_evals),
+            "u_semi": _squares(u, case.grad_u, "grad", quad, u_evals),
+        }
 
 
 def _error_norms(sol: driver.FhdSolution, case: ManufacturedCase) -> dict:
     """``(err, ref)`` of every error column: the error and the exact norm.
 
-    One rule, one point set and one tabulation per distinct space (H and M
-    share theirs); each discrete and each exact field is evaluated once,
-    grad(phi) serving the phi, H and M columns. Each column's arrays are
-    dropped before the next column starts, so the peak memory is that of one
-    column.
+    The squares are summed over element blocks (:func:`_error_squares`);
+    the velocity column is the broken H1 norm, L2 plus element-wise seminorm.
     """
-    quad = rule, points, _ = _quadrature(sol.phi.space.mesh)
-    grad_phi = case.grad_phi(points)
-    norms = {"err_phi_h1": field_error(sol.phi, grad_phi, "grad", quad=quad)}
-    tab = fespace.tabulate(sol.H.space, rule)
-    evals = fespace.eval_field(sol.H, tab)
-    norms["err_H_hcurl"] = field_error(sol.H, grad_phi, "hcurl", quad=quad, evals=evals)
-    m_exact = material.magnetization(grad_phi, case.params)
-    del grad_phi
-    evals = fespace.eval_field(sol.M, tab) if sol.M.space is sol.H.space else None
-    norms["err_M_l2"] = field_error(sol.M, m_exact, quad=quad, evals=evals)
-    del m_exact, tab, evals
-    norms["err_p_l2"] = field_error(sol.p, case.p, quad=quad)
-    # broken H1 norm of the velocity: L2 plus element-wise seminorm
-    evals = fespace.eval_field(sol.u, fespace.tabulate(sol.u.space, rule))
-    l2, ref_l2 = field_error(sol.u, case.u, quad=quad, evals=evals)
-    semi, ref_semi = field_error(sol.u, case.grad_u, "grad", quad=quad, evals=evals)
+    norms = _block_norms(_error_squares(sol, case))
+    (l2, ref_l2), (semi, ref_semi) = norms.pop("u_l2"), norms.pop("u_semi")
     norms["err_u_h1h"] = math.hypot(semi, l2), math.hypot(ref_l2, ref_semi)
     return norms
 

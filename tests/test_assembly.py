@@ -355,6 +355,49 @@ class TestNsRhs:
         assert duals[2] < 0.62 * duals[1]  # measured ~0.52 ratio, O(h)
 
 
+class TestElementBlocks:
+    """Loads evaluated block by block equal the one-block loads bitwise."""
+
+    @staticmethod
+    def _loads(prob, case):
+        rng = np.random.default_rng(11)
+        H = FEField(prob.U, rng.standard_normal(prob.U.n_dofs))
+        phi = FEField(prob.S, rng.standard_normal(prob.S.n_dofs))
+        prm = case.params
+        return {
+            "ns": assembly.assemble_ns_rhs(prob.V, case.f),
+            "manufactured": assembly.elliptic_rhs_manufactured(prob.S, case.grad_phi, prm),
+            "external": assembly.elliptic_rhs_external(prob.S, case.u, prm),
+            "scalar-field": assembly.assemble_scalar_rhs(
+                prob.W, (H, lambda v: (v * v).sum(axis=-1))),
+            "scalar-callable": assembly.assemble_scalar_rhs(prob.W, case.p),
+            "edge-field": assembly.assemble_edge_rhs(
+                prob.U, (H, lambda v: material.magnetization(v, prm))),
+            "edge-gradient": assembly.assemble_edge_rhs(prob.U, (phi, None)),
+        }
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_uneven_blocks_bitwise(self, monkeypatch, pair):
+        from ferrofem import driver, verify
+
+        case = verify.CASES[pair]()
+        prob = driver.Problem(driver.FhdConfig(n=8, pair=pair, case=case))
+        whole = self._loads(prob, case)
+        blocks = []
+        real = fespace.element_blocks
+
+        def element_blocks(*spaces):
+            for block in real(*spaces):
+                blocks.append(block[0].mesh.n_triangles)
+                yield block
+
+        monkeypatch.setattr(fespace, "ELEMENT_BLOCK", 37)  # 128 = 3 * 37 + 17
+        monkeypatch.setattr(fespace, "element_blocks", element_blocks)
+        blocked = self._loads(prob, case)
+        assert blocks == [37, 37, 37, 17] * len(whole)
+        assert [k for k in whole if not np.array_equal(blocked[k], whole[k])] == []
+
+
 class TestTraversalOrderIndependence:
     @pytest.mark.parametrize("builder", ["stiffness", "edge_mass", "stokes"])
     def test_shuffled_elements_give_same_matrices(self, builder):

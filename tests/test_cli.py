@@ -116,16 +116,23 @@ class TestCommands:
             assert len(updates["potential"]) == cfg.picard_iters
             assert len(updates["flow"]) == cfg.oseen_iters
             assert all(b < 0.1 * a for a, b in zip(updates["flow"], updates["flow"][1:]))
-            for key in ("solve_s", "errors_s", "picard_s", "flow_s", "recovery_s"):
-                assert row["timings"][key] >= 0.0
+            timings = row["timings"]
+            assert set(timings) == {"solve_s", "errors_s", "setup_s", "picard_s", "flow_s",
+                                    "recovery_s"}
+            assert all(t >= 0.0 for t in timings.values())
+            # the stages are disjoint parts of the solve
+            parts = ("setup_s", "flow_s", "picard_s", "recovery_s")
+            assert sum(timings[key] for key in parts) <= timings["solve_s"]
 
     def test_every_diagnostics_key_in_readme(self, tmp_path):
         cfg = parse_config("levels = 4\n")
         assert cli.cmd_run(cfg, tmp_path / "out.csv", tmp_path / "out.json") == 0
-        keys = json.loads((tmp_path / "out.json").read_text())["rows"][0]["diagnostics"]
+        row = json.loads((tmp_path / "out.json").read_text())["rows"][0]
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listed = readme.split("under `diagnostics`:", 1)[1].split("\n\n", 2)[1]
-        assert [k for k in keys if not re.search(rf"`{k}[`.]", listed)] == []
+        assert [k for k in row["diagnostics"] if not re.search(rf"`{k}[`.]", listed)] == []
+        listed = readme.split("Each row also has `timings`", 1)[1].split("\n\n", 1)[0]
+        assert [k for k in row["timings"] if f"`{k}`" not in listed] == []
 
     def test_run_partial_output_on_failure(self, tmp_path, monkeypatch):
         real = verify._solve_level

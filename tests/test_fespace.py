@@ -188,3 +188,46 @@ class TestComponentwise:
         x = rng.standard_normal(components * 40)
         blocks = sp.block_diag([a] * components, format="csr")
         assert np.array_equal(fespace.componentwise(a, x), blocks @ x)
+
+
+class TestElementBlocks:
+    def test_one_block_is_the_spaces_themselves(self):
+        s = fespace.build_space(MESH4, "P1")
+        u = fespace.build_space(MESH4, "NE0")
+        blocks = list(fespace.element_blocks(s, u))
+        assert len(blocks) == 1 and blocks[0][0] is s and blocks[0][1] is u
+
+    def test_uneven_blocks_slice_elements_and_keep_numbering(self, monkeypatch):
+        monkeypatch.setattr(fespace, "ELEMENT_BLOCK", 7)
+        s = fespace.build_space(MESH4, "P2")  # 32 elements: 4 * 7 + 4
+        u = fespace.build_space(MESH4, "NE1")
+        blocks = list(fespace.element_blocks(s, u))
+        assert [b[0].mesh.n_triangles for b in blocks] == [7, 7, 7, 7, 4]
+        for space, parts in ((s, [b[0] for b in blocks]), (u, [b[1] for b in blocks])):
+            assert np.array_equal(np.vstack([p.cell_dofs for p in parts]), space.cell_dofs)
+            assert np.array_equal(np.vstack([p.cell_signs for p in parts]), space.cell_signs)
+            assert all(p.n_dofs == space.n_dofs for p in parts)
+        for name in ("triangles", "tri_edges", "tri_edge_signs", "jac", "jac_inv", "det"):
+            joined = np.concatenate([getattr(b[0].mesh, name) for b in blocks])
+            assert np.array_equal(joined, getattr(MESH4, name))
+        # the two spaces of one block share its sub-mesh
+        assert all(b[0].mesh is b[1].mesh for b in blocks)
+        assert all(b[0].mesh.vertices is MESH4.vertices for b in blocks)
+
+    def test_blocked_evaluation_matches_whole_mesh(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        u = fespace.build_space(MESH4, "NE1")
+        f = FEField(u, rng.standard_normal(u.n_dofs))
+        rule = refelem.quadrature(4)
+        whole = fespace.eval_field(f, fespace.tabulate(u, rule))
+        monkeypatch.setattr(fespace, "ELEMENT_BLOCK", 5)
+        parts = [fespace.eval_field(FEField(b, f.coeffs), fespace.tabulate(b, rule))
+                 for (b,) in fespace.element_blocks(u)]
+        for k in range(2):
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), whole[k])
+
+    def test_spaces_on_different_meshes_rejected(self):
+        s = fespace.build_space(MESH4, "P1")
+        t = fespace.build_space(mesh2d.build_uniform_square(2), "P1")
+        with pytest.raises(ValueError, match="different meshes"):
+            next(fespace.element_blocks(s, t))

@@ -1,6 +1,7 @@
 """Package layout rules that no single module's tests can see."""
 
 import ast
+import re
 from pathlib import Path
 
 import ferrofem
@@ -150,3 +151,35 @@ def test_every_eigsh_call_passes_its_own_factor():
                               any(kw.arg == "OPinv" for kw in node.keywords)))
     assert calls, "no eigsh call found"
     assert [where for where, ok in calls if not ok] == []
+
+
+# parameter names that would carry a block size into a kernel
+_BLOCK_SIZE_PARAM = re.compile(
+    r"(block|chunk)s?_?(size|len)|n_?(block|chunk)s|per_(block|chunk)|element_block", re.IGNORECASE)
+
+
+def test_element_block_is_a_constant_not_a_knob():
+    # the per-point kernels' block size is one constant, read where the
+    # blocks are cut; a parameter or a second reader would make it a setting
+    uses, params = [], []
+    for stem in MODULES:
+        path = PACKAGE / f"{stem}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # node id -> name of the innermost function whose body holds it
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                args = func.args
+                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            *filter(None, (args.vararg, args.kwarg))]:
+                    if _BLOCK_SIZE_PARAM.search(arg.arg):
+                        params.append(f"{path.name}:{func.lineno} {arg.arg}")
+            if isinstance(func, ast.FunctionDef):
+                for stmt in func.body:
+                    owner.update((id(node), func.name) for node in ast.walk(stmt))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "ELEMENT_BLOCK" or getattr(node, "name", None) == "ELEMENT_BLOCK":
+                ctx = type(getattr(node, "ctx", None)).__name__
+                uses.append((stem, owner.get(id(node), "<module>"), ctx))
+    assert sorted(uses) == [("fespace", "<module>", "Store"), ("fespace", "element_blocks", "Load")]
+    assert params == []

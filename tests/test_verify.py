@@ -168,6 +168,58 @@ class TestErrorNorms:
         assert errs.keys() == self.PINNED[pair, n].keys()
         for name, value in self.PINNED[pair, n].items():
             assert errs[name] == pytest.approx(value, rel=1e-12)
+        # over uneven element blocks the pass repeats per block
+        size = self.UNEVEN_BLOCK[pair, n]
+        monkeypatch.setattr(fespace, "ELEMENT_BLOCK", size)
+        n_blocks = -(-sol.phi.space.mesh.n_triangles // size)
+        counts = {"quad_points": 0, "tabulate": []}
+        errs = verify.measure_errors(sol, case)
+        assert n_blocks > 1 and counts["quad_points"] == n_blocks
+        spaces = counts["tabulate"]
+        assert len(spaces) == 4 * n_blocks and len({id(s) for s in spaces}) == 4 * n_blocks
+        for name, value in self.PINNED[pair, n].items():
+            assert errs[name] == pytest.approx(value, rel=1e-12)
+
+    # 128 = 3 * 37 + 17 and 32 = 4 * 7 + 4 elements
+    UNEVEN_BLOCK = {("l0", 8): 37, ("l1", 4): 7}
+
+    @pytest.mark.parametrize("pair, n", sorted(UNEVEN_BLOCK))
+    def test_blocked_error_norms_match_one_block(self, monkeypatch, pair, n):
+        case = verify.CASES[pair]()
+        sol = driver.solve_fhd(driver.FhdConfig(n=n, pair=pair, case=case))
+        whole = verify._error_norms(sol, case)
+        monkeypatch.setattr(fespace, "ELEMENT_BLOCK", self.UNEVEN_BLOCK[pair, n])
+        blocked = verify._error_norms(sol, case)
+        assert list(blocked) == list(whole)
+        for name, pair_norms in whole.items():
+            assert blocked[name] == pytest.approx(pair_norms, rel=1e-14)
+        assert verify.field_error(sol.phi, case.grad_phi, "grad") == pytest.approx(
+            whole["err_phi_h1"], rel=1e-14)
+
+    def test_error_norm_and_load_memory_bounded(self):
+        # l0 N=64 (8192 elements, four blocks): the whole-mesh stages held
+        # 17.1 MB (error norms) and 13.8 MB (flow load) of numpy temporaries
+        import tracemalloc
+
+        case = verify.CASES["l0"]()
+        prob = driver.Problem(driver.FhdConfig(n=64, pair="l0", case=case))
+        sol = driver.FhdSolution(
+            phi=prob.S.zero_field(), H=prob.U.zero_field(), M=prob.U.zero_field(),
+            u=prob.V.zero_field(), p_tilde=prob.W.zero_field(), psi=prob.W.zero_field(),
+            p=prob.W.zero_field(), diagnostics={},
+        )
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, stage in (("measure_errors", lambda: verify.measure_errors(sol, case)),
+                                ("assemble_ns_rhs", lambda: assembly.assemble_ns_rhs(prob.V, case.f))):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                stage()
+                peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peaks["measure_errors"] < 8.0 and peaks["assemble_ns_rhs"] < 8.0, peaks
 
     def test_measure_errors_evaluates_each_field_once(self, monkeypatch):
         case = verify.CASES["l0"]()

@@ -3,10 +3,13 @@
 All kernels are vectorized over elements and reference-first: per-point
 data is mapped to reference coordinates (J^-1 for vectors, det J^-1 J^-T for
 gradient products) and contracted with a reference basis table in one matrix
-product over all elements. Local matrices are scattered through COO -> CSR,
-which sums duplicates deterministically. Sparse storage is scipy CSR. Load
-vectors evaluate their data over element blocks (``fespace.element_blocks``)
-and scatter the joined local vectors once.
+product over all elements. Local matrices are summed by one ``bincount``
+into the data array of their space's CSR pattern (``FESpace.pattern``), which
+every matrix on that space shares; sums of such matrices, and the
+skew part of convection through the pattern's transpose permutation, are
+taken on the data arrays. Sparse storage is scipy CSR. Load vectors evaluate
+their data over element blocks (``fespace.element_blocks``) and scatter the
+joined local vectors once.
 
 Quadrature policy, decided here alone: terms with polynomial integrands
 use a rule exact for the integrand; terms carrying the non-polynomial
@@ -81,12 +84,6 @@ def _load_rule(space: FESpace, src):
     return refelem.quadrature(_l2_degree(data_space, QUAD_BUMP))
 
 
-def _scatter_matrix(local, row_dofs, col_dofs, shape) -> sp.csr_matrix:
-    rows = np.broadcast_to(row_dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(col_dofs[:, None, :], local.shape).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
-
-
 def _scatter_vector(local, dofs, n) -> np.ndarray:
     return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=n)
 
@@ -96,8 +93,8 @@ def _dx(tab):
     return tab.rule.weights[None, :] * tab.det[:, None]
 
 
-def _gram(space: FESpace, tab, table, coeff=None) -> sp.csr_matrix:
-    """Matrix of int coeff (J^-T t_i) . (J^-T t_j) over the scalar dofs of ``space``.
+def _gram(space: FESpace, tab, table, coeff=None) -> np.ndarray:
+    """Data on ``space.pattern()`` of int coeff (J^-T t_i) . (J^-T t_j) over its scalar dofs.
 
     ``table`` (ndof, nq, 2) holds reference gradients or edge vectors. Without
     a pointwise ``coeff`` (nt, nq) it is integrated once: (nt, 4) @ (4, ndof^2).
@@ -112,8 +109,7 @@ def _gram(space: FESpace, tab, table, coeff=None) -> sp.csr_matrix:
         w = (coeff * tab.rule.weights)[:, :, None, None] * metric[:, None]
     local = (w.reshape(nt, -1) @ ref.reshape(-1, ndof * ndof)).reshape(nt, ndof, ndof)
     local *= tab.signs[:, :, None] * tab.signs[:, None, :]
-    n = space.n_scalar
-    return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
+    return space.pattern().sum_local(local)
 
 
 def _pairing(tab, table, data) -> np.ndarray:
@@ -153,7 +149,7 @@ def assemble_weighted_stiffness(
             raise ValueError("Picard iterate must live on the assembly space")
         _, gw = fespace.eval_field(w, tab)
         coeff = material.alpha(np.sqrt((gw * gw).sum(axis=-1)), params)
-    return _gram(space, tab, tab.grads, coeff)
+    return space.pattern().matrix(_gram(space, tab, tab.grads, coeff))
 
 
 def _flux_load(space: FESpace, src, flux) -> np.ndarray:
@@ -190,7 +186,7 @@ def assemble_edge_mass(space: FESpace) -> sp.csr_matrix:
     """L2 mass matrix of an edge space over all dofs (no boundary removal)."""
     rule = refelem.quadrature(_l2_degree(space))
     tab = fespace.tabulate(space, rule)
-    return _gram(space, tab, tab.values)
+    return space.pattern().matrix(_gram(space, tab, tab.values))
 
 
 def assemble_edge_rhs(space: FESpace, src) -> np.ndarray:
@@ -209,8 +205,7 @@ def assemble_scalar_mass(space: FESpace) -> sp.csr_matrix:
     rule = refelem.quadrature(_l2_degree(space))
     tab = fespace.tabulate(space, rule)
     local = tab.det[:, None, None] * ((tab.values * rule.weights) @ tab.values.T)
-    n = space.n_scalar
-    return _scatter_matrix(local, space.cell_dofs, space.cell_dofs, (n, n))
+    return space.pattern().scatter(local)
 
 
 def assemble_scalar_rhs(space: FESpace, src) -> np.ndarray:
@@ -241,7 +236,9 @@ class SaddleSystem:
     (q, div v), and the vectors ``rhs_u``, ``g`` (prescribed values on the
     constrained dofs, zero elsewhere) and ``free_u`` (a tiled mask). ``mean``
     is the pressure-mean row that pins the L2_0 constraint through one
-    scalar multiplier.
+    scalar multiplier. ``A`` lives on the pattern of ``space``, the velocity
+    space. ``B_free`` is ``B`` on the free velocity columns, restricted once
+    with ``B`` so that every sweep's solve reuses it.
     """
 
     A: sp.csr_matrix
@@ -250,6 +247,8 @@ class SaddleSystem:
     rhs_u: np.ndarray
     free_u: np.ndarray
     g: np.ndarray
+    space: FESpace
+    B_free: sp.csr_matrix
 
 
 def _stokes_quad_degree(vfam: str) -> int:
@@ -282,19 +281,21 @@ def assemble_stokes_blocks(
     ref = np.einsum("q,kq,iqb->bki", rule.weights, tabp.values, tabv.grads)
     dj = (tabv.det[:, None, None] * tabv.jac_inv).transpose(0, 2, 1)  # [t, c, b]
     b_loc = (dj @ ref.reshape(2, -1)).reshape(nt, 2, npl, nv).transpose(0, 2, 1, 3)
-    cols = np.concatenate([v_space.cell_dofs, ns + v_space.cell_dofs], axis=1)
-    b = _scatter_matrix(b_loc.reshape(nt, npl, 2 * nv), w_space.cell_dofs, cols, (np_, 2 * ns))
+    b_pattern = w_space.pattern(v_space)
+    b = b_pattern.scatter(b_loc.reshape(nt, npl, 2 * nv))
 
     mean_loc = np.outer(tabp.det, tabp.values @ rule.weights)
     mean = _scatter_vector(mean_loc, w_space.cell_dofs, np_)
 
     return SaddleSystem(
-        A=eta * _gram(v_space, tabv, tabv.grads),
+        A=v_space.pattern().matrix(eta * _gram(v_space, tabv, tabv.grads)),
         B=b,
         mean=mean,
         rhs_u=np.zeros(2 * ns),
         free_u=v_space.free_mask,
         g=np.zeros(2 * ns),
+        space=v_space,
+        B_free=b_pattern.restrict(b),
     )
 
 
@@ -303,7 +304,8 @@ def assemble_convection(v_space: FESpace, w_field: FEField, rho: float) -> sp.cs
 
     b(w; u, v) = rho/2 [((w.grad)u, v) - ((w.grad)v, u)] acts on each
     velocity component alike; N = rho/2 (C - C') is the block of one
-    component, so skew-symmetry is structural.
+    component, taken on the data array through the pattern's transpose
+    permutation, so N' = -N holds bit for bit.
     """
     if w_field.space is not v_space:
         raise ValueError("convecting field must live on the velocity space")
@@ -315,9 +317,9 @@ def assemble_convection(v_space: FESpace, w_field: FEField, rho: float) -> sp.cs
     nt, ndof = v_space.cell_dofs.shape
     ref = np.einsum("iq,jqb->qbij", tab.values, tab.grads).reshape(-1, ndof * ndof)
     c_loc = (wref.reshape(nt, -1) @ ref).reshape(nt, ndof, ndof)
-    ns = v_space.n_scalar
-    c_raw = _scatter_matrix(c_loc, v_space.cell_dofs, v_space.cell_dofs, (ns, ns))
-    return 0.5 * rho * (c_raw - c_raw.T)
+    pattern = v_space.pattern()
+    c = pattern.sum_local(c_loc)
+    return pattern.matrix(0.5 * rho * (c - c[pattern.tperm]))
 
 
 def assemble_ns_rhs(v_space: FESpace, f) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import resource
 import sys
 from dataclasses import asdict, dataclass
@@ -32,6 +33,10 @@ _ERROR_COLS = verify.ERROR_COLUMNS
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(OSError):
+    """An output path of ``run`` that cannot be written."""
 
 
 @dataclass
@@ -191,15 +196,35 @@ def _run_study(config: RunConfig):
     return report, None
 
 
+def _check_output(path: str):
+    """Raise OutputError unless ``path`` can be created or overwritten as a file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise OutputError(f"{path}: is a directory")
+    if not os.path.isdir(parent):
+        raise OutputError(f"{path}: no such directory {parent}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise OutputError(f"{path}: permission denied")
+
+
 def cmd_run(config: RunConfig, out_csv: str, out_json: str) -> int:
-    """Execute the study and write the CSV/JSON reports. Exit 0 on success."""
+    """Execute the study and write the CSV/JSON reports. Exit 0 on success.
+
+    Both output paths are checked before the study runs, so a path that
+    cannot be written fails at once and leaves neither file behind.
+    """
+    for path in (out_csv, out_json):
+        _check_output(path)
     report, failed_at = _run_study(config)
     csv_text = format_csv(report, failed_at)
-    with open(out_csv, "w") as fh:
-        fh.write(csv_text)
-    with open(out_json, "w") as fh:
-        json.dump(report_to_json(config, report, failed_at), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(out_csv, "w") as fh:
+            fh.write(csv_text)
+        with open(out_json, "w") as fh:
+            json.dump(report_to_json(config, report, failed_at), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
     return 0 if failed_at is None else 1
 
 
@@ -259,6 +284,9 @@ def main(argv=None) -> int:
             return cmd_table(_load_config(args.config))
         if args.command == "check":
             return cmd_check(seed=args.seed)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

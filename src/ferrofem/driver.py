@@ -165,7 +165,7 @@ def picard_elliptic(prob: Problem, phi0: FEField | None = None):
         else:
             a_mat = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.params)
             x0 = phi.coeffs[free]
-        a_ff, b_f, expand = linalg.reduce_dirichlet(a_mat, prob.rhs_phi, free)
+        a_ff, b_f, expand = linalg.reduce_dirichlet(a_mat, prob.rhs_phi, prob.S)
         x, report = linalg.solve_spd(a_ff, b_f, prob.phi_factor, x0)
         return FEField(prob.S, expand(x)), report
 
@@ -188,7 +188,8 @@ def oseen_ns(prob: Problem, start: tuple[FEField, FEField] | None = None):
         else:
             u, p = up
             conv = assembly.assemble_convection(prob.V, u, rho)
-            sys, p0 = replace(prob.saddle, A=(prob.saddle.A + conv).tocsr()), p.coeffs
+            oseen = prob.V.pattern().add(prob.saddle.A, conv)
+            sys, p0 = replace(prob.saddle, A=oseen), p.coeffs
         u_coeffs, p_coeffs, report = linalg.solve_saddle(sys, p0=p0)
         return (FEField(prob.V, u_coeffs), FEField(prob.W, p_coeffs)), report
 

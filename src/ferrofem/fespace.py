@@ -4,11 +4,15 @@ Gradients map into the edge spaces (P1 -> NE0, P2 -> NE1) through an explicit
 sparse matrix built by :func:`gradient_matrix`; the recovery of the magnetic
 field from the scalar potential rides on that identity being exact at the
 coefficient level.
+
+Every matrix assembled on a space lives on one CSR pattern per element family
+and mesh (:meth:`FESpace.pattern`), which also restricts it to the free dofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,6 +71,29 @@ class FESpace:
     def zero_field(self) -> "FEField":
         return FEField(self, np.zeros(self.n_dofs))
 
+    def pattern(self, cols: "FESpace | None" = None) -> "_Pattern":
+        """CSR pattern of the matrices with rows on the scalar dofs of this space.
+
+        Columns are the same scalar dofs, restricted like the rows to the
+        free ones, or every dof of ``cols`` (the divergence block's velocity
+        columns), restricted to the free ones of ``cols`` with every row
+        kept. The mesh keeps each pattern from its first use, so spaces with
+        one dof map share it (l1's P2 potential and velocity).
+        """
+        key = self.family if cols is None else (self.family, cols.family, cols.components)
+        pat = self.mesh.patterns.get(key)
+        if pat is None:
+            if cols is None:
+                free = ~self.dirichlet_scalar
+                pat = _Pattern(self.cell_dofs, self.cell_dofs, free, free)
+            else:
+                col_dofs = np.concatenate([cols.cell_dofs + k * cols.n_scalar
+                                           for k in range(cols.components)], axis=1)
+                rows = np.ones(self.n_scalar, dtype=bool)
+                pat = _Pattern(self.cell_dofs, col_dofs, rows, cols.free_mask)
+            self.mesh.patterns[key] = pat
+        return pat
+
 
 @dataclass
 class FEField:
@@ -82,6 +109,96 @@ class FEField:
                 f"coefficient vector has length {self.coeffs.shape}, "
                 f"space has {self.space.n_dofs} dofs"
             )
+
+
+class _Pattern:
+    """CSR structure shared by every matrix assembled on one pair of dof maps.
+
+    Built from each element's row dofs (nt, a) and column dofs (nt, b) by one
+    stable argsort of the keys ``row * n_cols + col``: the distinct keys give
+    ``indptr`` and ``indices``, and ``slot`` maps every local entry, in
+    (element, row, column) order, to its place in a matrix's data array.
+    Duplicates are summed by one ``bincount`` in element order, so the sum is
+    deterministic. The index arrays are int32 and read-only, since every
+    matrix on the pattern shares them; ``row_free``/``col_free`` are the dofs
+    :meth:`restrict` keeps.
+    """
+
+    def __init__(self, row_dofs, col_dofs, row_free, col_free):
+        self.shape = (row_free.size, col_free.size)
+        self.row_free, self.col_free = row_free, col_free
+        self._local_shape = (row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1])
+        keys = (row_dofs[:, :, None] * self.shape[1] + col_dofs[:, None, :]).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        self.slot = np.empty(order.size, dtype=np.int32)
+        self.slot[order] = np.cumsum(first, dtype=np.int32) - 1
+        self.indices = (keys % self.shape[1]).astype(np.int32)
+        self.indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // self.shape[1], minlength=self.shape[0]),
+                  out=self.indptr[1:])
+        for index in (self.slot, self.indices, self.indptr):
+            index.flags.writeable = False
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def matrix(self, data) -> sp.csr_matrix:
+        """The CSR matrix with ``data`` on this pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def sum_local(self, local) -> np.ndarray:
+        """Data array of the local matrices ``local`` (nt, a, b), summed in element order."""
+        return np.bincount(self.slot, local.ravel(), minlength=self.nnz)
+
+    def scatter(self, local) -> sp.csr_matrix:
+        return self.matrix(self.sum_local(local))
+
+    def data(self, a) -> np.ndarray:
+        """The CSR data array of a matrix ``a`` on this pattern; ValueError otherwise."""
+        a = a.tocsr()
+        on = a.shape == self.shape and a.nnz == self.nnz and (
+            np.shares_memory(a.indices, self.indices)
+            or (np.array_equal(a.indptr, self.indptr) and np.array_equal(a.indices, self.indices)))
+        if not on:
+            raise ValueError("matrix is not on the pattern of its space")
+        return a.data
+
+    def add(self, a, b) -> sp.csr_matrix:
+        """``a + b`` on this pattern, entry by entry (explicit zeros are kept)."""
+        return self.matrix(self.data(a) + self.data(b))
+
+    @cached_property
+    def tperm(self) -> np.ndarray:
+        """Slot of the transposed entry of every slot, for one dof map on rows and columns."""
+        local = self.slot.reshape(self._local_shape)
+        tperm = np.empty(self.nnz, dtype=np.int32)
+        tperm[local] = local.transpose(0, 2, 1)
+        tperm.flags.writeable = False
+        return tperm
+
+    @cached_property
+    def _free(self):
+        """Slots of the entries in free rows and columns, and their CSR structure."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        take = np.flatnonzero(self.row_free[rows] & self.col_free[self.indices]).astype(np.int32)
+        indices = (np.cumsum(self.col_free) - 1)[self.indices[take]].astype(np.int32)
+        counts = np.bincount(rows[take], minlength=self.shape[0])[self.row_free]
+        indptr = np.zeros(counts.size + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        for index in (take, indices, indptr):
+            index.flags.writeable = False
+        return take, indices, indptr, (counts.size, int(self.col_free.sum()))
+
+    def restrict(self, a) -> sp.csr_matrix:
+        """``a[row_free][:, col_free]`` of a matrix on this pattern, by one gather."""
+        take, indices, indptr, shape = self._free
+        return sp.csr_matrix((self.data(a)[take], indices, indptr), shape=shape)
 
 
 def componentwise(block, x: np.ndarray) -> np.ndarray:
@@ -321,25 +438,20 @@ def gradient_matrix(scalar_space: FESpace, edge_space: FESpace) -> sp.csr_matrix
     lo = mesh.edges[:, 0]
     hi = mesh.edges[:, 1]
     ne = mesh.n_edges
+    # one edge's rows, each in ascending column order (lo < hi < every midpoint dof)
     if (scalar_space.family, edge_space.family) == ("P1", "NE0"):
-        rows = np.repeat(np.arange(ne), 2)
-        cols = np.stack([lo, hi], axis=1).ravel()
-        vals = np.tile([-1.0, 1.0], ne)
-        shape = (ne, scalar_space.n_scalar)
+        cols = np.stack([lo, hi], axis=1)
+        vals = [-1.0, 1.0]
+        row_sizes = [2]
     elif (scalar_space.family, edge_space.family) == ("P2", "NE1"):
         midd = mesh.n_vertices + np.arange(ne)  # P2 edge-midpoint dofs
-        rows = np.concatenate(
-            [np.repeat(2 * np.arange(ne), 2), np.repeat(2 * np.arange(ne) + 1, 3)]
-        )
-        cols = np.concatenate(
-            [np.stack([lo, hi], axis=1).ravel(), np.stack([lo, hi, midd], axis=1).ravel()]
-        )
-        vals = np.concatenate(
-            [np.tile([-1.0, 1.0], ne), np.tile([2.0 / 3.0, 2.0 / 3.0, -4.0 / 3.0], ne)]
-        )
-        shape = (2 * ne, scalar_space.n_scalar)
+        cols = np.stack([lo, hi, lo, hi, midd], axis=1)
+        vals = [-1.0, 1.0, 2.0 / 3.0, 2.0 / 3.0, -4.0 / 3.0]
+        row_sizes = [2, 3]
     else:
         raise ValueError(
             f"no gradient embedding {scalar_space.family} -> {edge_space.family}"
         )
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    indptr = np.concatenate([[0], np.cumsum(np.tile(row_sizes, ne))])
+    return sp.csr_matrix((np.tile(vals, ne), cols.ravel(), indptr),
+                         shape=(len(row_sizes) * ne, scalar_space.n_scalar))

@@ -43,7 +43,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .assembly import SaddleSystem
-from .fespace import componentwise
+from .fespace import FESpace, componentwise
 
 SPD_RTOL = 1e-10
 # Preconditioned CG on SPD systems stops at CG_RTOL of the right-hand side,
@@ -261,11 +261,11 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     # component-major vectors as (n, 2) columns, one per component
     n = sys.A.shape[0]
     a_ff, lift_cols, _ = reduce_dirichlet(
-        sys.A, sys.rhs_u.reshape(2, n).T, free[:n], sys.g.reshape(2, n).T
+        sys.A, sys.rhs_u.reshape(2, n).T, sys.space, sys.g.reshape(2, n).T
     )
     lift_u = lift_cols.T.ravel()
-    b_f = sp.csr_matrix(sys.B[:, free])
-    b_ft = b_f.T.tocsr()
+    b_f = sys.B_free
+    b_ft = b_f.T  # a CSC view: its products sum each entry in B_f's row order
     lift_p = -(sys.B @ sys.g)  # g is zero on the free dofs
 
     h = a_ff.shape[0]
@@ -306,22 +306,24 @@ def solve_saddle(sys: SaddleSystem, p0: np.ndarray | None = None):
     return u, p, SolveReport(res, iterations, lu.nnz)
 
 
-def reduce_dirichlet(a: sp.spmatrix, b: np.ndarray, free: np.ndarray, g=None):
-    """Restrict ``a x = b`` to the free dofs, lifting prescribed values ``g``.
+def reduce_dirichlet(a: sp.csr_matrix, b: np.ndarray, space: FESpace, g=None):
+    """Restrict ``a x = b`` to the free scalar dofs of ``space``, lifting prescribed values ``g``.
 
-    ``b`` and ``g`` may carry one column per right-hand side. ``g`` is zero
-    on the free dofs, so the lift is ``a[free] @ g``; ``g=None`` means zero
-    values, which need no lift. Returns
-    ``(a_ff, b_f, expand)`` where ``expand`` maps a free-dof solution back to
-    full length with the prescribed values filled in.
+    ``a`` lives on ``space.pattern()``, whose free-dof restriction gathers
+    ``a_ff`` from its data array. ``b`` and ``g`` may carry one column per
+    right-hand side. ``g`` is zero on the free dofs, so the lift is
+    ``(a @ g)[free]``; ``g=None`` means zero values, which need no lift.
+    Returns ``(a_ff, b_f, expand)`` where ``expand`` maps a free-dof solution
+    back to full length with the prescribed values filled in.
     """
-    a_free = a.tocsr()[free]
-    a_ff = a_free[:, free]
+    pattern = space.pattern()
+    free = pattern.row_free
+    a_ff = pattern.restrict(a)
     if g is None:
         g = np.zeros(a.shape[0])
         b_f = b[free]
     else:
-        b_f = b[free] - a_free @ g
+        b_f = b[free] - (a @ g)[free]
 
     def expand(x_f):
         x = g.copy()

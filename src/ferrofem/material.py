@@ -45,19 +45,21 @@ class MaterialParams:
     eta: float = 1.0
 
     def __post_init__(self):
+        def check_positive(names):
+            for name in names:
+                v = getattr(self, name)
+                if v is not None and not (np.isfinite(v) and v > 0.0):
+                    raise ValueError(f"{name} must be strictly positive, got {v}")
+
+        # the given values first, so that an error names one the user set
+        # rather than gamma or chi0 derived from it
+        check_positive(("mu0", "Ms", "gamma", "chi0", "rho", "eta"))
         if self.gamma is None:
-            gamma = 1.0
-            if self.chi0 is not None:
-                if not self.Ms > 0.0:  # checked here, before it divides
-                    raise ValueError(f"Ms must be strictly positive, got {self.Ms}")
-                gamma = 3.0 * self.chi0 / self.Ms
+            gamma = 1.0 if self.chi0 is None else 3.0 * self.chi0 / self.Ms
             object.__setattr__(self, "gamma", gamma)
         if self.chi0 is None:
             object.__setattr__(self, "chi0", self.gamma * self.Ms / 3.0)
-        for name in ("mu0", "Ms", "gamma", "chi0", "rho", "eta"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {v}")
+        check_positive(("gamma", "chi0"))  # a derived value can overflow or underflow
         if abs(self.gamma - 3.0 * self.chi0 / self.Ms) > 1e-12 * max(1.0, self.gamma):
             raise ValueError(
                 f"inconsistent parameters: gamma={self.gamma} but 3*chi0/Ms="

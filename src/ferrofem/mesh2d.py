@@ -8,7 +8,7 @@ meshes and shuffled-element copies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,9 @@ class Mesh2D:
         Topological boundary flags (edge incident to exactly one triangle).
     jac, jac_inv, det : per-triangle affine map data
         ``x = jac @ x_ref + vertices[t0]``; ``det`` is twice the area.
+    patterns : dict
+        Sparsity patterns of the matrices assembled on this mesh, filled by
+        :mod:`fespace` on first use, so they live and die with the mesh.
     """
 
     vertices: np.ndarray
@@ -47,6 +50,7 @@ class Mesh2D:
     jac: np.ndarray
     jac_inv: np.ndarray
     det: np.ndarray
+    patterns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:

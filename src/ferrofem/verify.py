@@ -651,10 +651,14 @@ def infsup_constant(pair: str, n: int) -> float:
     v = fespace.build_space(mesh, v_fam, components=2)
     w = fespace.build_space(mesh, w_fam)
     sys = assembly.assemble_stokes_blocks(v, w, eta=1.0)
-    free = ~v.dirichlet_scalar
-    x = (sys.A + assembly.assemble_scalar_mass(v))[free][:, free]
-    b_f = sys.B[:, v.free_mask]
-    b1, b2 = b_f[:, : x.shape[0]], b_f[:, x.shape[0] :]
+    pattern = v.pattern()
+    # -X without the entries of A + M that are exactly zero (CR on right
+    # triangles), as a sparse sum would drop them: kept, they change the
+    # minimum-degree order and add fill (l0 N=16: 49k -> 61k entries)
+    neg_x = -pattern.restrict(pattern.add(sys.A, assembly.assemble_scalar_mass(v)))
+    neg_x.eliminate_zeros()
+    b_f = w.pattern(v).restrict(sys.B)
+    b1, b2 = b_f[:, : neg_x.shape[0]], b_f[:, neg_x.shape[0] :]
     mp = assembly.assemble_scalar_mass(w)
     # sigma < 0: every eigenvalue is >= 0, so the two nearest sigma are always
     # the hydrostatic 0 and beta^2 (sigma = +0.1 at l1 N=16 gives beta^2 and
@@ -664,7 +668,7 @@ def infsup_constant(pair: str, n: int) -> float:
     # partial pivoting, holds 357k entries at l1 N=16 against 219k here)
     sigma = -0.05
     shifted = sp.bmat(
-        [[-x, None, -b1.T], [None, -x, -b2.T], [-b1, -b2, -sigma * mp]], format="csc"
+        [[neg_x, None, -b1.T], [None, neg_x, -b2.T], [-b1, -b2, -sigma * mp]], format="csc"
     )
     lu = linalg.factor(shifted)
     pressure = sp.eye(mp.shape[0], shifted.shape[0], k=b_f.shape[1], format="csr")
@@ -784,8 +788,8 @@ def check_cr_kernel() -> list:
     mesh = mesh2d.build_uniform_square(CR_KERNEL_N)
     v = fespace.build_space(mesh, "CR", components=2)
     k = assembly.assemble_stokes_blocks(v, fespace.build_space(mesh, "P0"), 1.0).A
-    free = ~v.dirichlet_scalar  # the vector seminorm is the scalar one per component
-    lam_min = float(np.linalg.eigvalsh(k[free][:, free].toarray())[0])
+    # the vector seminorm is the scalar one per component
+    lam_min = float(np.linalg.eigvalsh(v.pattern().restrict(k).toarray())[0])
     return [
         _result("cr-seminorm-kernel", lam_min > 1e-12, f"lambda_min {lam_min:.3e}")
     ]

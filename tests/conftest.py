@@ -46,6 +46,20 @@ def jittered_square():
     return _jittered_square
 
 
+@pytest.fixture(params=["jittered", "shuffled"])
+def pattern_mesh(request):
+    """Builder ``n -> Mesh2D``: the jittered square, or a copy of it whose
+    triangles are listed in a seeded random order (dofs met out of order)."""
+
+    def build(n):
+        mesh = _jittered_square(n, seed=11)
+        if request.param == "shuffled":
+            mesh = shuffled(mesh, np.random.default_rng([5, n]).permutation(mesh.n_triangles))
+        return mesh
+
+    return build
+
+
 @pytest.fixture(scope="session")
 def l0_full_study():
     """The six-level lowest-order study shared by the table-based criteria."""

@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import shuffled
-from ferrofem import assembly, fespace, linalg, material, mesh2d, refelem
+from ferrofem import assembly, driver, fespace, linalg, material, mesh2d, refelem, verify
 from ferrofem.fespace import FEField
 from ferrofem.material import MaterialParams
 
@@ -615,3 +617,94 @@ class TestReferenceKernels:
              for c in range(2)]
         )
         assert _close(rhs, old)
+
+
+def _pair_spaces(mesh, pair):
+    """Potential, edge, velocity and pressure spaces of ``pair`` on ``mesh``."""
+    s_fam, u_fam, v_fam, w_fam = driver.PAIRS[pair]
+    return (fespace.build_space(mesh, s_fam), fespace.build_space(mesh, u_fam),
+            fespace.build_space(mesh, v_fam, components=2), fespace.build_space(mesh, w_fam))
+
+
+class TestPattern:
+    """Matrices assembled into one CSR pattern per family and mesh, on the
+    jittered mesh and on a copy of it with its triangles shuffled."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Weak references to every pattern built while the test runs."""
+        refs = []
+        real = fespace._Pattern.__init__
+
+        def init(pattern, *args):
+            real(pattern, *args)
+            refs.append(weakref.ref(pattern))
+
+        monkeypatch.setattr(fespace._Pattern, "__init__", init)
+        return refs
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_every_matrix_matches_coo_oracle(self, monkeypatch, pattern_mesh, pair):
+        S, U, V, W = _pair_spaces(pattern_mesh(6), pair)
+        seen = []
+        real = fespace._Pattern.sum_local
+
+        def sum_local(pattern, local):
+            seen.append(local)
+            return real(pattern, local)
+
+        monkeypatch.setattr(fespace._Pattern, "sum_local", sum_local)
+        rng = np.random.default_rng(7)
+        phi = FEField(S, rng.standard_normal(S.n_dofs))
+        close = []
+        for space, assemble in [
+            (S, lambda: assembly.assemble_weighted_stiffness(S)),
+            (S, lambda: assembly.assemble_weighted_stiffness(S, phi, PARAMS)),
+            (U, lambda: assembly.assemble_edge_mass(U)),
+            (V, lambda: assembly.assemble_scalar_mass(V)),
+            (W, lambda: assembly.assemble_scalar_mass(W)),
+        ]:
+            m = assemble()
+            (local,) = seen
+            seen.clear()
+            close.append(_close(m, _scatter(local, space.cell_dofs, space.cell_dofs, m.shape)))
+        sys = assembly.assemble_stokes_blocks(V, W, eta=0.7)
+        b_loc, a_loc = seen
+        seen.clear()
+        cols = np.concatenate([V.cell_dofs, V.n_scalar + V.cell_dofs], axis=1)
+        close.append(_close(sys.B, _scatter(b_loc, W.cell_dofs, cols, sys.B.shape)))
+        close.append(_close(sys.A, 0.7 * _scatter(a_loc, V.cell_dofs, V.cell_dofs, sys.A.shape)))
+        n = assembly.assemble_convection(V, FEField(V, rng.standard_normal(V.n_dofs)), rho=1.3)
+        (c_loc,) = seen
+        c = _scatter(c_loc, V.cell_dofs, V.cell_dofs, n.shape)
+        close.append(_close(n, 0.5 * 1.3 * (c - c.T)))
+        assert close == [True] * 8
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_convection_exactly_antisymmetric(self, pattern_mesh, pair):
+        _, _, V, _ = _pair_spaces(pattern_mesh(6), pair)
+        w = FEField(V, np.random.default_rng(8).standard_normal(V.n_dofs))
+        n = assembly.assemble_convection(V, w, rho=1.3)
+        tperm = V.pattern().tperm
+        rows = np.repeat(np.arange(n.shape[0]), np.diff(n.indptr))
+        assert np.array_equal(rows[tperm], n.indices)  # slot k holds (i, j), tperm[k] (j, i)
+        assert np.array_equal(n.indices[tperm], rows)
+        assert np.array_equal(n.data, -n.data[tperm])
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_level_builds_one_pattern_per_family(self, monkeypatch, pattern_mesh, built, pair):
+        monkeypatch.setattr(mesh2d, "build_uniform_square", pattern_mesh)
+        sol = driver.solve_fhd(driver.FhdConfig(n=4, pair=pair, case=verify.CASES[pair]()))
+        s, u, v, w = driver.PAIRS[pair]
+        patterns = sol.phi.space.mesh.patterns
+        assert set(patterns) == {s, u, v, w, (w, v, 2)}
+        assert len(built) == len(patterns)
+        # l1's P2 potential and velocity share one
+        assert (sol.phi.space.pattern() is sol.u.space.pattern()) == (pair == "l1")
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_no_pattern_outlives_its_level(self, monkeypatch, pattern_mesh, built, pair):
+        monkeypatch.setattr(mesh2d, "build_uniform_square", pattern_mesh)
+        driver.solve_fhd(driver.FhdConfig(n=4, pair=pair, case=verify.CASES[pair]()))
+        gc.collect()
+        assert built and [ref for ref in built if ref() is not None] == []

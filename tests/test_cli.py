@@ -182,6 +182,20 @@ class TestMain:
         assert cli.main(["run", "--config", "/nonexistent/path.cfg"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-json"])
+    @pytest.mark.parametrize("bad", ["missing/x.out", "."])
+    def test_unwritable_output_fails_before_the_study(self, tmp_path, capsys, monkeypatch,
+                                                      flag, bad):
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(verify, "run_convergence_study", study)
+        outs = {"--out-csv": tmp_path / "s.csv", "--out-json": tmp_path / "s.json"}
+        outs[flag] = tmp_path / bad  # a missing directory, or a directory
+        assert cli.main(["run", *(str(a) for kv in outs.items() for a in kv)]) == 2
+        assert "output error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # neither output written
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("levels = 8,4\n")
@@ -216,6 +230,8 @@ class TestMain:
             ("seed = 7\n", "config error: line 1: unknown key 'seed'"),
             # gamma = 3 chi0 / Ms would divide by zero
             ("levels = 2\nchi0 = 1\nMs = 0\n", "config error: Ms must be strictly positive"),
+            # chi0 is named, not the gamma it would give
+            ("levels = 2\nchi0 = 0\n", "config error: chi0 must be strictly positive, got 0.0"),
             # beta(0) = Ms ln(gamma) / gamma overflows
             ("levels = 4,8\ngamma = 1e-310\n", "config error: beta(0) = Ms ln(gamma)/gamma"
              " is not finite for gamma=1e-310"),

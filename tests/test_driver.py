@@ -20,8 +20,7 @@ def zero_external(pts):
 
 def poisson_seed(prob):
     """The potential chain's seed, solved by the calls of its first step."""
-    free = prob.S.free_mask
-    a_ff, b_f, expand = linalg.reduce_dirichlet(prob.K1, prob.rhs_phi, free)
+    a_ff, b_f, expand = linalg.reduce_dirichlet(prob.K1, prob.rhs_phi, prob.S)
     x, rep = linalg.solve_spd(a_ff, b_f, prob.phi_factor)
     return FEField(prob.S, expand(x)), rep
 

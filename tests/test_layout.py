@@ -1,6 +1,8 @@
 """Package layout rules that no single module's tests can see."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -183,3 +185,48 @@ def test_element_block_is_a_constant_not_a_knob():
                 uses.append((stem, owner.get(id(node), "<module>"), ctx))
     assert sorted(uses) == [("fespace", "<module>", "Store"), ("fespace", "element_blocks", "Load")]
     assert params == []
+
+
+def test_one_scatter_mechanism():
+    # every matrix is summed into its space's CSR pattern by bincount; a COO
+    # triplet path beside it would be a second scatter with its own order
+    assert [use for name in ("coo_matrix", "tocoo") for use in _references(name)] == []
+
+
+# the public functions of each layer: perfbench wraps every one of them in a
+# span, so a new one would change its span names, trace.spans and the
+# assembly time behind assembly.elements_per_s; helpers stay private
+PUBLIC_FUNCTIONS = {
+    "assembly": ["assemble_convection", "assemble_edge_mass", "assemble_edge_rhs",
+                 "assemble_ns_rhs", "assemble_scalar_mass", "assemble_scalar_rhs",
+                 "assemble_stokes_blocks", "assemble_weighted_stiffness",
+                 "elliptic_rhs_external", "elliptic_rhs_manufactured"],
+    "cli": ["cmd_check", "cmd_run", "cmd_table", "format_csv", "main", "parse_config",
+            "report_to_json"],
+    "driver": ["oseen_ns", "picard_elliptic", "recover_fields", "solve_fhd"],
+    "fespace": ["build_space", "componentwise", "edge_moments", "element_blocks",
+                "eval_field", "gradient_matrix", "interpolate_edge", "interpolate_nodal",
+                "quad_points", "tabulate"],
+    "linalg": ["factor", "reduce_dirichlet", "solve_saddle", "solve_spd"],
+    "material": ["alpha", "beta", "beta_prime_fd", "langevin", "magnetization"],
+    "mesh2d": ["build_uniform_square", "from_arrays", "mesh_size"],
+    "refelem": ["eval_basis", "quadrature"],
+    "verify": ["case_2d_l0", "case_2d_l1", "check_branch_crossovers",
+               "check_commuting_diagram", "check_convection_skew", "check_cr_kernel",
+               "check_form_bounds", "check_infsup", "check_material_bounds",
+               "check_stability_bounds", "convergence_orders", "curl_inf", "field_error",
+               "infsup_constant", "measure_errors", "project_gradient",
+               "run_convergence_study", "run_property_battery"],
+}
+
+
+def test_no_layer_gains_a_public_function():
+    found = {}
+    for stem in MODULES:
+        if stem.startswith("__"):
+            continue
+        mod = importlib.import_module(f"ferrofem.{stem}")
+        found[stem] = sorted(name for name, fn in vars(mod).items()
+                             if not name.startswith("_") and inspect.isfunction(fn)
+                             and fn.__module__ == mod.__name__)
+    assert found == PUBLIC_FUNCTIONS

@@ -337,7 +337,7 @@ class TestSchurSolve:
 
         free, mean, n = sys.free_u, sys.mean, sys.A.shape[0]
         a_ff, lift_cols, _ = linalg.reduce_dirichlet(
-            sys.A, sys.rhs_u.reshape(2, n).T, free[:n], sys.g.reshape(2, n).T
+            sys.A, sys.rhs_u.reshape(2, n).T, sys.space, sys.g.reshape(2, n).T
         )
         lu = linalg.factor(a_ff)
         b_f = sp.csr_matrix(sys.B[:, free])
@@ -410,8 +410,54 @@ class TestReduceDirichlet:
         k = assembly.assemble_weighted_stiffness(s)
         g = np.where(s.dirichlet_mask, mesh.vertices[:, 0], 0.0)
         b = np.zeros(s.n_dofs)
-        kff, bf, expand = linalg.reduce_dirichlet(k, b, s.free_mask, g)
+        kff, bf, expand = linalg.reduce_dirichlet(k, b, s, g)
         x, _ = linalg.solve_spd(kff, bf, linalg.ReusedFactor())
         full = expand(x)
         # harmonic extension of x-coordinate data is x itself
         assert np.abs(full - mesh.vertices[:, 0]).max() < 1e-10
+
+
+class TestPatternRestriction:
+    """The free-dof gather on the jittered mesh and on a shuffled copy of it."""
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_gather_equals_slicing_bitwise(self, pattern_mesh, pair):
+        s_fam, _, v_fam, w_fam = driver.PAIRS[pair]
+        mesh = pattern_mesh(6)
+        s = fespace.build_space(mesh, s_fam)
+        v = fespace.build_space(mesh, v_fam, components=2)
+        w = fespace.build_space(mesh, w_fam)
+        rng = np.random.default_rng(9)
+        picard = assembly.assemble_weighted_stiffness(
+            s, FEField(s, rng.standard_normal(s.n_dofs)), MaterialParams())
+        sys = assembly.assemble_stokes_blocks(v, w, eta=0.5)
+        conv = assembly.assemble_convection(v, FEField(v, rng.standard_normal(v.n_dofs)), 3.0)
+        oseen = v.pattern().add(sys.A, conv)
+        pairs = []
+        for a, space in ((picard, s), (oseen, v)):
+            free = ~space.dirichlet_scalar
+            a_ff, _, _ = linalg.reduce_dirichlet(a, np.zeros(a.shape[0]), space)
+            pairs.append((a_ff, a.tocsr()[free][:, free]))
+        pairs.append((sys.B_free, sys.B[:, sys.free_u]))
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_matrix_off_the_pattern_rejected(self):
+        # the gather reads a data array by the pattern's slots: a copy with the
+        # same structure is on it; a matrix with one entry moved, or one entry
+        # short, is not
+        s = fespace.build_space(mesh2d.build_uniform_square(4), "P1")
+        k = assembly.assemble_weighted_stiffness(s)
+        b = np.ones(s.n_dofs)
+        copy_ff, _, _ = linalg.reduce_dirichlet(sp.csr_matrix(k, copy=True), b, s)
+        assert np.array_equal(copy_ff.data, linalg.reduce_dirichlet(k, b, s)[0].data)
+        indices = k.indices.copy()
+        indices[k.indptr[1] - 1] = s.n_dofs - 1  # vertex 0 and the last share no element
+        moved = sp.csr_matrix((k.data, indices, k.indptr), shape=k.shape)
+        short = k.toarray()
+        short[0, k.indices[k.indptr[0] + 1]] = 0.0
+        for off in (moved, sp.csr_matrix(short)):
+            with pytest.raises(ValueError, match="not on the pattern"):
+                linalg.reduce_dirichlet(off, b, s)

@@ -200,6 +200,11 @@ class TestParams:
         with pytest.raises(ValueError):
             MaterialParams(**{field: -1.0})
 
+    @pytest.mark.parametrize("chi0", [0.0, -1.0, float("nan")])
+    def test_bad_chi0_named_before_gamma_derived(self, chi0):
+        with pytest.raises(ValueError, match=rf"^chi0 must be strictly positive, got {chi0}$"):
+            MaterialParams(chi0=chi0)
+
     @pytest.mark.parametrize("kwargs", [{"gamma": 1e-310}, {"chi0": 1e-310}])
     def test_overflowing_beta0_rejected(self, kwargs):
         # beta(0) = Ms ln(gamma) / gamma is -inf; the check itself warns of nothing

@@ -396,6 +396,27 @@ class TestBattery:
         )
 
     @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_infsup_pencil_holds_the_nonzeros_of_the_sparse_sum(self, monkeypatch, pair):
+        # the velocity blocks of the factored pencil are (A + M)[free][:, free]
+        # as scipy's sum gives it, exact zeros dropped, so that the ordering
+        # and fill of the factor follow the operator and not the pattern
+        pencils = []
+        real = verify.linalg.factor
+        monkeypatch.setattr(verify.linalg, "factor", lambda a: pencils.append(a) or real(a))
+        verify.infsup_constant(pair, 8)
+        _, _, v_fam, w_fam = driver.PAIRS[pair]
+        v = fespace.build_space(mesh2d.build_uniform_square(8), v_fam, components=2)
+        sys = assembly.assemble_stokes_blocks(v, fespace.build_space(v.mesh, w_fam), 1.0)
+        free = ~v.dirichlet_scalar
+        x = (sys.A + assembly.assemble_scalar_mass(v))[free][:, free]
+        h = x.shape[0]
+        [pencil] = pencils
+        for block in (pencil[:h, :h], pencil[h:2 * h, h:2 * h]):
+            block = sp.csr_matrix(block)
+            assert block.nnz == x.nnz
+            assert np.array_equal(block.indices, x.indices)
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
     def test_infsup_constant_factors_the_shifted_pencil_once(self, monkeypatch, pair):
         factors, eigsh_kwargs = [], []
         real_factor, real_eigsh = verify.linalg.factor, verify.spla.eigsh

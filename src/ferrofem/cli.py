@@ -258,6 +258,17 @@ def _load_config(path: str) -> RunConfig:
         return parse_config(fh.read())
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ferrofem",
@@ -274,7 +285,7 @@ def main(argv=None) -> int:
     p_table.add_argument("--config", default=None)
 
     p_check = sub.add_parser("check", help="run the property battery")
-    p_check.add_argument("--seed", type=int, default=42)
+    p_check.add_argument("--seed", type=_seed, default=42)
 
     args = parser.parse_args(argv)
     try:

@@ -6,7 +6,8 @@ field from the scalar potential rides on that identity being exact at the
 coefficient level.
 
 Every matrix assembled on a space lives on one CSR pattern per element family
-and mesh (:meth:`FESpace.pattern`), which also restricts it to the free dofs.
+and mesh (:meth:`FESpace.pattern`), which also restricts it to the free dofs;
+the divergence block's rectangular pattern is built for its one assembly.
 """
 
 from __future__ import annotations
@@ -75,23 +76,23 @@ class FESpace:
         """CSR pattern of the matrices with rows on the scalar dofs of this space.
 
         Columns are the same scalar dofs, restricted like the rows to the
-        free ones, or every dof of ``cols`` (the divergence block's velocity
-        columns), restricted to the free ones of ``cols`` with every row
-        kept. The mesh keeps each pattern from its first use, so spaces with
-        one dof map share it (l1's P2 potential and velocity).
+        free ones; the mesh keeps that pattern from its first use, so spaces
+        with one dof map share it (l1's P2 potential and velocity). With
+        ``cols``, the columns are every dof of ``cols`` (the divergence
+        block's velocity columns), restricted to the free ones of ``cols``
+        with every row kept; that pattern is built anew and not kept, as
+        its one block is assembled and restricted once per level.
         """
-        key = self.family if cols is None else (self.family, cols.family, cols.components)
-        pat = self.mesh.patterns.get(key)
+        if cols is not None:
+            col_dofs = np.concatenate([cols.cell_dofs + k * cols.n_scalar
+                                       for k in range(cols.components)], axis=1)
+            rows = np.ones(self.n_scalar, dtype=bool)
+            return _Pattern(self.cell_dofs, col_dofs, rows, cols.free_mask)
+        pat = self.mesh.patterns.get(self.family)
         if pat is None:
-            if cols is None:
-                free = ~self.dirichlet_scalar
-                pat = _Pattern(self.cell_dofs, self.cell_dofs, free, free)
-            else:
-                col_dofs = np.concatenate([cols.cell_dofs + k * cols.n_scalar
-                                           for k in range(cols.components)], axis=1)
-                rows = np.ones(self.n_scalar, dtype=bool)
-                pat = _Pattern(self.cell_dofs, col_dofs, rows, cols.free_mask)
-            self.mesh.patterns[key] = pat
+            free = ~self.dirichlet_scalar
+            pat = _Pattern(self.cell_dofs, self.cell_dofs, free, free)
+            self.mesh.patterns[self.family] = pat
         return pat
 
 

@@ -14,10 +14,13 @@ used) means the solve succeeded, and a failed one raises
 :func:`factor` makes every factorization in the package: SuperLU in symmetric
 mode on minimum degree of ``A + A'``, no pivoting. Each matrix factored has an
 LU without pivoting under any symmetric order (Golub & Van Loan, section 4.2):
-the potential matrices are SPD, the velocity block is positive real (SPD
-viscous part, skew convection, symmetric pattern) and :mod:`verify`'s shifted
-inf-sup pencil is symmetric quasi-definite (Vanderbei, 1995). Pivots would
-leave that order and add fill; the residual checks see any element growth.
+the potential matrices and :mod:`verify`'s pressure mass ``Mp`` are SPD, the
+velocity block is positive real (SPD viscous part, skew convection, symmetric
+pattern) and :mod:`verify`'s shifted inf-sup pencil is symmetric
+quasi-definite (Vanderbei, 1995). Pivots would leave that order and add fill;
+the residual checks see any element growth. For a symmetric matrix the factor
+is ``U = D L'`` with ``perm_r == perm_c``, which :mod:`verify` reads as the
+split ``Mp = R R'``.
 
 Saddle-point systems are solved blockwise: the velocity operator is one
 scalar block applied to both components, so that block is factored, and the

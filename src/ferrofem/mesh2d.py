@@ -36,8 +36,9 @@ class Mesh2D:
     jac, jac_inv, det : per-triangle affine map data
         ``x = jac @ x_ref + vertices[t0]``; ``det`` is twice the area.
     patterns : dict
-        Sparsity patterns of the matrices assembled on this mesh, filled by
-        :mod:`fespace` on first use, so they live and die with the mesh.
+        Square sparsity patterns of the matrices assembled on this mesh, one
+        per element family, filled by :mod:`fespace` on first use, so they
+        live and die with the mesh.
     """
 
     vertices: np.ndarray

@@ -636,15 +636,19 @@ def infsup_constant(pair: str, n: int) -> float:
     beta^2 is the smallest nonzero eigenvalue of S p = lam Mp p with
     S = sum_c B_c X^-1 B_c' (Chapelle & Bathe 1993), X = K + M the free
     scalar velocity Gram matrix and B_c the divergence columns of velocity
-    component c. The same eigenvalues come from the sparse symmetric pencil
+    component c. With Mp = R R', this is the standard problem
+    C y = lam y, C = R^-1 S R^-T, y = R' p, in pressure space. Shift-invert
+    Lanczos on it (Lehoucq, Sorensen & Yang 1998, section 3.2) needs only
+    (C - sigma I)^-1 = R' (S - sigma Mp)^-1 R, and (S - sigma Mp)^-1 f is the
+    pressure part of the solve with the sparse symmetric pencil
 
-        a = [[-X, 0, -B1'], [0, -X, -B2'], [-B1, -B2, 0]],  m = diag(0, 0, Mp),
+        [[-X, 0, -B1'], [0, -X, -B2'], [-B1, -B2, -sigma Mp]]
 
-    since a z = lam m z gives u_c = -X^-1 B_c' p. One shift-invert Lanczos
-    solve takes the two eigenvalues nearest a fixed negative shift: since
-    every eigenvalue is >= 0, these are the hydrostatic zero (constant
-    pressure) and beta^2. The hydrostatic Ritz value must be zero to
-    round-off, else SolverError is raised.
+    and right-hand side (0, 0, f), since its velocity rows give
+    u_c = -X^-1 B_c' p. The solve takes the two eigenvalues nearest a fixed
+    negative shift: since every eigenvalue is >= 0, these are the
+    hydrostatic zero (constant pressure) and beta^2. The hydrostatic Ritz
+    value must be zero to round-off, else SolverError is raised.
     """
     _, _, v_fam, w_fam = driver.PAIRS[pair]
     mesh = mesh2d.build_uniform_square(n)
@@ -657,32 +661,39 @@ def infsup_constant(pair: str, n: int) -> float:
     # minimum-degree order and add fill (l0 N=16: 49k -> 61k entries)
     neg_x = -pattern.restrict(pattern.add(sys.A, assembly.assemble_scalar_mass(v)))
     neg_x.eliminate_zeros()
-    b_f = w.pattern(v).restrict(sys.B)
-    b1, b2 = b_f[:, : neg_x.shape[0]], b_f[:, neg_x.shape[0] :]
+    b1, b2 = sys.B_free[:, : neg_x.shape[0]], sys.B_free[:, neg_x.shape[0] :]
     mp = assembly.assemble_scalar_mass(w)
     # sigma < 0: every eigenvalue is >= 0, so the two nearest sigma are always
     # the hydrostatic 0 and beta^2 (sigma = +0.1 at l1 N=16 gives beta^2 and
-    # the next one, 0.13355 and 0.13408); and a - sigma m =
-    # [[-X, -B'], [-B, |sigma| Mp]] is symmetric quasi-definite, so it is
-    # factored once, by linalg.factor (eigsh's own factor, COLAMD with
-    # partial pivoting, holds 357k entries at l1 N=16 against 219k here)
+    # the next one, 0.13355 and 0.13408); and the pencil is symmetric
+    # quasi-definite, so it is factored once, by linalg.factor (eigsh's own
+    # factor, COLAMD with partial pivoting, holds 357k entries at l1 N=16
+    # against 219k here)
     sigma = -0.05
     shifted = sp.bmat(
         [[neg_x, None, -b1.T], [None, neg_x, -b2.T], [-b1, -b2, -sigma * mp]], format="csc"
     )
     lu = linalg.factor(shifted)
-    pressure = sp.eye(mp.shape[0], shifted.shape[0], k=b_f.shape[1], format="csr")
-    m = pressure.T @ mp @ pressure  # diag(0, 0, Mp)
-    # given OPinv, eigsh reads only the shape and dtype of a
-    a = spla.LinearOperator(shifted.shape, lambda z: shifted @ z + sigma * (m @ z),
-                            dtype=float)
-    opinv = spla.LinearOperator(shifted.shape, lu.solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(shifted.shape[0])  # ARPACK's default is random
-    # the Lanczos basis lives in pressure space: scipy's default of 20
-    # vectors breaks down where that has fewer dofs (N < 4)
-    ncv = min(20, w.n_scalar - 1)
+    # linalg.factor does not pivot and orders symmetrically, so Mp's factor
+    # is U = D L' with perm_r == perm_c, and R = (L D^1/2)[perm_r]
+    mp_lu = linalg.factor(mp)
+    r = (mp_lu.L @ sp.diags(np.sqrt(mp_lu.U.diagonal())))[mp_lu.perm_r].tocsr()
+    r_t = r.T.tocsr()
+    n_p = mp.shape[0]
+    rhs = np.zeros(shifted.shape[0])
+
+    def shift_invert(y):  # R' (S - sigma Mp)^-1 R y
+        rhs[-n_p:] = r @ y
+        return r_t @ lu.solve(rhs)[-n_p:]
+
+    opinv = spla.LinearOperator(mp.shape, shift_invert, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n_p)  # ARPACK's default is random
+    # scipy's default of 20 Lanczos vectors breaks down where the pressure
+    # space has fewer dofs (N < 4)
+    ncv = min(20, n_p - 1)
+    # with OPinv and no M, eigsh reads only the shape and dtype of its A
     lam_min, lam_max = sorted(
-        spla.eigsh(a, k=2, M=m, sigma=sigma, v0=v0, ncv=ncv, OPinv=opinv,
+        spla.eigsh(opinv, k=2, M=None, sigma=sigma, v0=v0, ncv=ncv, OPinv=opinv,
                    return_eigenvectors=False)
     )
     if abs(lam_min) > 1e-10 * lam_max:

@@ -697,10 +697,26 @@ class TestPattern:
         sol = driver.solve_fhd(driver.FhdConfig(n=4, pair=pair, case=verify.CASES[pair]()))
         s, u, v, w = driver.PAIRS[pair]
         patterns = sol.phi.space.mesh.patterns
-        assert set(patterns) == {s, u, v, w, (w, v, 2)}
-        assert len(built) == len(patterns)
+        assert set(patterns) == {s, u, v, w}
+        # and the divergence block's, built once for the Stokes blocks and not kept
+        assert len(built) == len(patterns) + 1
         # l1's P2 potential and velocity share one
         assert (sol.phi.space.pattern() is sol.u.space.pattern()) == (pair == "l1")
+
+    @pytest.mark.parametrize("pair", ["l0", "l1"])
+    def test_problem_keeps_only_square_patterns(self, monkeypatch, pattern_mesh, built, pair):
+        # the rectangular divergence pattern and its free-dof gather serve one
+        # restriction of B per level, so the mesh does not keep them
+        monkeypatch.setattr(mesh2d, "build_uniform_square", pattern_mesh)
+        prob = driver.Problem(driver.FhdConfig(n=4, pair=pair, case=verify.CASES[pair]()))
+        s, _, v, _ = driver.PAIRS[pair]
+        patterns = prob.mesh.patterns
+        assert set(patterns) == {s, v}  # the stiffness and the viscous block
+        assert all(pat.shape[0] == pat.shape[1] for pat in patterns.values())
+        gc.collect()
+        kept = [ref() for ref in built if ref() is not None]
+        assert sorted(map(id, kept)) == sorted(map(id, patterns.values()))
+        assert prob.saddle.B_free.shape == (prob.W.n_scalar, prob.V.n_free)
 
     @pytest.mark.parametrize("pair", ["l0", "l1"])
     def test_no_pattern_outlives_its_level(self, monkeypatch, pattern_mesh, built, pair):

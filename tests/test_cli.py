@@ -168,6 +168,15 @@ class TestCommands:
             cli.main(["check", "--quick"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_check_rejects_a_bad_seed(self, capsys, seed):
+        # numpy's generators take non-negative seeds only: rejected when the
+        # arguments are parsed, never a traceback from inside the battery
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_check_reports_failures(self, capsys, monkeypatch):
         def broken(seed=42):
             return [verify.PropertyResult("alpha-bounds", False, "forced")]

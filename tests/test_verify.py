@@ -400,17 +400,22 @@ class TestBattery:
         # the velocity blocks of the factored pencil are (A + M)[free][:, free]
         # as scipy's sum gives it, exact zeros dropped, so that the ordering
         # and fill of the factor follow the operator and not the pattern
-        pencils = []
+        factored = []
         real = verify.linalg.factor
-        monkeypatch.setattr(verify.linalg, "factor", lambda a: pencils.append(a) or real(a))
+        monkeypatch.setattr(verify.linalg, "factor", lambda a: factored.append(a) or real(a))
         verify.infsup_constant(pair, 8)
         _, _, v_fam, w_fam = driver.PAIRS[pair]
         v = fespace.build_space(mesh2d.build_uniform_square(8), v_fam, components=2)
-        sys = assembly.assemble_stokes_blocks(v, fespace.build_space(v.mesh, w_fam), 1.0)
+        w = fespace.build_space(v.mesh, w_fam)
+        sys = assembly.assemble_stokes_blocks(v, w, 1.0)
         free = ~v.dirichlet_scalar
         x = (sys.A + assembly.assemble_scalar_mass(v))[free][:, free]
         h = x.shape[0]
-        [pencil] = pencils
+        # the pencil and the pressure mass, each factored once
+        [pencil] = [a for a in factored if a.shape == (2 * h + w.n_scalar,) * 2]
+        [mp] = [a for a in factored if a.shape == (w.n_scalar,) * 2]
+        assert len(factored) == 2
+        assert abs(mp - assembly.assemble_scalar_mass(w)).max() == 0.0
         for block in (pencil[:h, :h], pencil[h:2 * h, h:2 * h]):
             block = sp.csr_matrix(block)
             assert block.nnz == x.nnz
@@ -418,39 +423,70 @@ class TestBattery:
 
     @pytest.mark.parametrize("pair", ["l0", "l1"])
     def test_infsup_constant_factors_the_shifted_pencil_once(self, monkeypatch, pair):
-        factors, eigsh_kwargs = [], []
+        factors, eigsh_calls = [], []
         real_factor, real_eigsh = verify.linalg.factor, verify.spla.eigsh
 
         def factor(a):
             lu = real_factor(a)
-            factors.append(lu)
+            factors.append((a.shape[0], lu))
             return lu
 
         def eigsh(a, **kwargs):
-            eigsh_kwargs.append(kwargs)
+            eigsh_calls.append((a, kwargs))
             return real_eigsh(a, **kwargs)
 
         monkeypatch.setattr(verify.linalg, "factor", factor)
         monkeypatch.setattr(verify.spla, "eigsh", eigsh)
+        _, _, v_fam, w_fam = driver.PAIRS[pair]
         for n in verify.INFSUP_LEVELS:
             factors.clear()
-            eigsh_kwargs.clear()
+            eigsh_calls.clear()
             verify.infsup_constant(pair, n)
-            # one factor of the pencil, by the package's one LU (its options
-            # are tested in tests/test_linalg.py), handed to eigsh
-            [lu] = factors
-            [kw] = eigsh_kwargs
-            assert kw["OPinv"] is not None
+            mesh = mesh2d.build_uniform_square(n)
+            n_p = fespace.build_space(mesh, w_fam).n_scalar
+            n_pencil = fespace.build_space(mesh, v_fam, components=2).n_free + n_p
+            # one factor of the pencil and one of the pressure mass, both by
+            # the package's one LU (its options are tested in
+            # tests/test_linalg.py)
+            [lu] = [lu for size, lu in factors if size == n_pencil]
+            assert sorted(size for size, _ in factors) == [n_p, n_pencil]
+            # handed to eigsh in standard form: no M, and Lanczos vectors of
+            # the pressure length
+            [(a, kw)] = eigsh_calls
+            assert kw["M"] is None
+            assert a.shape == kw["OPinv"].shape == (n_p, n_p)
+            assert kw["v0"].shape == (n_p,)
         # the finest l1 factor: ~219k entries; scipy's default COLAMD with
         # partial pivoting gives 357k
         if pair == "l1":
             assert lu.nnz < 300_000
 
+    @pytest.mark.parametrize("w_fam", ["P0", "P1"])
+    def test_pressure_mass_split_from_its_factor(self, monkeypatch, w_fam):
+        # Mp = R R' with R = (L D^1/2)[perm_r], read from the pivot-free
+        # symmetric-mode LU that infsup_constant takes of Mp
+        pair = {"P0": "l0", "P1": "l1"}[w_fam]
+        w = fespace.build_space(mesh2d.build_uniform_square(4), w_fam)
+        factored = []
+        real = verify.linalg.factor
+
+        def factor(a):
+            factored.append((a, real(a)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(verify.linalg, "factor", factor)
+        verify.infsup_constant(pair, 4)
+        [(mp, lu)] = [(a, lu) for a, lu in factored if a.shape == (w.n_scalar,) * 2]
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        r = (lu.L @ sp.diags(np.sqrt(lu.U.diagonal())))[lu.perm_r]
+        assert abs(r @ r.T - mp).max() <= 1e-14 * abs(mp).max()
+
     def test_negative_control_hydrostatic_mode_lost_fails(self, monkeypatch):
         # one free entry of the P0 pair's divergence scaled by 1.5:
         # B_f' 1 != 0 and B_f' has no kernel left, so the smallest eigenvalue
         # is no longer the hydrostatic zero. (A whole row scaled by d would
-        # only move the kernel to D^-1 1, and the zero would stay.)
+        # only move the kernel to D^-1 1, and the zero would stay.) The
+        # eigensolve reads B_free, which stays B on the free columns.
         real = assembly.assemble_stokes_blocks
 
         def broken(v_space, w_space, eta):
@@ -459,6 +495,7 @@ class TestBattery:
                 b = sp.csr_matrix(sys.B, copy=True)
                 b.data[np.argmax(abs(b.data) * sys.free_u[b.indices])] *= 1.5
                 sys.B = b
+                sys.B_free = sp.csr_matrix(b[:, sys.free_u])
             return sys
 
         monkeypatch.setattr(verify.assembly, "assemble_stokes_blocks", broken)

@@ -25,6 +25,11 @@ from . import driver, verify
 from .material import MaterialParams
 
 DEFAULT_LEVELS = (4, 8, 16, 32, 64, 128)
+# Upper bound on ``picard_iters`` and ``oseen_iters``: a larger count is a
+# typo, not a study. The slowest chain on record (Picard at gamma=100,
+# Ms=10) needs ~150 sweeps for a 1e-6 update, while 1000 Oseen sweeps at
+# N=128 already take minutes.
+MAX_SWEEPS = 1000
 
 CSV_HEADER = "N,h,err_phi_h1,err_H_hcurl,err_M_l2,err_u_h1h,err_p_l2,curl_inf"
 
@@ -111,8 +116,8 @@ def parse_config(text: str) -> RunConfig:
         names = " or ".join(map(repr, driver.PAIRS))
         raise ConfigError(f"pair must be {names}, got {cfg.pair!r}")
     for name in ("picard_iters", "oseen_iters"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
+        if not 1 <= getattr(cfg, name) <= MAX_SWEEPS:
+            raise ConfigError(f"{name} must be between 1 and {MAX_SWEEPS}")
     try:
         cfg.material_params()
     except ValueError as exc:

@@ -20,7 +20,9 @@ pattern) and :mod:`verify`'s shifted inf-sup pencil is symmetric
 quasi-definite (Vanderbei, 1995). Pivots would leave that order and add fill;
 the residual checks see any element growth. For a symmetric matrix the factor
 is ``U = D L'`` with ``perm_r == perm_c``, which :mod:`verify` reads as the
-split ``Mp = R R'``.
+split ``Mp = R R'``. Minimum degree orders stored zeros too: the solves'
+matrices reach :func:`factor` without theirs (:func:`reduce_dirichlet`), and
+the inf-sup pencil keeps its divergence zeros, which its order needs.
 
 Saddle-point systems are solved blockwise: the velocity operator is one
 scalar block applied to both components, so that block is factored, and the
@@ -313,15 +315,20 @@ def reduce_dirichlet(a: sp.csr_matrix, b: np.ndarray, space: FESpace, g=None):
     """Restrict ``a x = b`` to the free scalar dofs of ``space``, lifting prescribed values ``g``.
 
     ``a`` lives on ``space.pattern()``, whose free-dof restriction gathers
-    ``a_ff`` from its data array. ``b`` and ``g`` may carry one column per
-    right-hand side. ``g`` is zero on the free dofs, so the lift is
-    ``(a @ g)[free]``; ``g=None`` means zero values, which need no lift.
-    Returns ``(a_ff, b_f, expand)`` where ``expand`` maps a free-dof solution
-    back to full length with the prescribed values filled in.
+    ``a_ff`` from its data array, less the exact zeros stored there (the CR,
+    P1 and P2 stiffness on right triangles), which minimum degree would
+    order too. ``b`` and ``g`` may carry one column per right-hand side.
+    ``g`` is zero on the free dofs, so the lift is ``(a @ g)[free]``;
+    ``g=None`` means zero values, which need no lift. Returns
+    ``(a_ff, b_f, expand)`` where ``expand`` maps a free-dof solution back
+    to full length with the prescribed values filled in.
     """
     pattern = space.pattern()
     free = pattern.row_free
     a_ff = pattern.restrict(a)
+    if not a_ff.data.all():  # a copy: the gathered structure is the pattern's, read-only
+        a_ff = a_ff.copy()
+        a_ff.eliminate_zeros()
     if g is None:
         g = np.zeros(a.shape[0])
         b_f = b[free]

@@ -252,6 +252,22 @@ class TestMain:
         assert cli.main(["table", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["picard_iters", "oseen_iters"])
+    def test_sweep_counts_bounded(self, tmp_path, capsys, monkeypatch, key):
+        # a count above the bound is refused before any solve (1e9 sweeps
+        # would run for days), and the bound itself is accepted
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(verify, "run_convergence_study", study)
+        assert getattr(parse_config(f"{key} = {cli.MAX_SWEEPS}\n"), key) == cli.MAX_SWEEPS
+        for count in (cli.MAX_SWEEPS + 1, 1_000_000_000):
+            path = tmp_path / "long.cfg"
+            path.write_text(f"levels = 2\n{key} = {count}\n")
+            assert cli.main(["table", "--config", str(path)]) == 2
+            assert (f"config error: {key} must be between 1 and {cli.MAX_SWEEPS}"
+                    in capsys.readouterr().err)
+
     @pytest.mark.parametrize(
         "text, vector", [("Ms = 1e308\n", "rhs_phi"), ("mu0 = 1e308\n", "rhs_u")]
     )

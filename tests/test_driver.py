@@ -173,6 +173,15 @@ class TestFactorReuse:
         assert len({r.fill for r in reports}) == 1
         assert all(r.iterations > 0 for r in sol.diagnostics["recovery_reports"].values())
 
+    def test_seed_factors_hold_only_the_nonzeros(self):
+        # l0 N=16 on the uniform mesh: the Poisson and Stokes seeds factor
+        # their nonzeros (the stored patterns factor to 4572 and 14140),
+        # while convection fills every stored entry of the Oseen matrices
+        sol = driver.solve_fhd(make_cfg(n=16))
+        fills = {chain: [r.fill for r in sol.diagnostics[chain]["reports"]]
+                 for chain in ("potential", "flow")}
+        assert fills == {"potential": [3516] * 3, "flow": [7504, 14140, 14140]}
+
     def test_cg_sweeps_match_direct_sweeps(self, monkeypatch):
         params = MaterialParams(gamma=4.0, eta=0.5)
         cfg = FhdConfig(

@@ -444,6 +444,29 @@ class TestPatternRestriction:
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
+    def test_uniform_mesh_gather_drops_exact_zeros(self):
+        # on right triangles the CR, P1 and P2 stiffness store exact zeros in
+        # the shared pattern; the free-dof matrix holds only the nonzeros, in
+        # the order slicing gives, and the pattern's read-only gather is kept
+        mesh = mesh2d.build_uniform_square(6)
+        cr = fespace.build_space(mesh, "CR", components=2)
+        p1 = fespace.build_space(mesh, "P1")
+        p2 = fespace.build_space(mesh, "P2")
+        stokes = assembly.assemble_stokes_blocks(cr, fespace.build_space(mesh, "P0"), eta=0.5)
+        for a, space in ((stokes.A, cr), (assembly.assemble_weighted_stiffness(p1), p1),
+                         (assembly.assemble_weighted_stiffness(p2), p2)):
+            assert not a.data.all()  # the case under test: stored zeros
+            gather = [index.copy() for index in space.pattern()._free[:3]]
+            a_ff, _, _ = linalg.reduce_dirichlet(a, np.zeros(a.shape[0]), space)
+            free = ~space.dirichlet_scalar
+            ref = a.tocsr()[free][:, free]
+            ref.eliminate_zeros()
+            assert a_ff.data.all()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a_ff, name), getattr(ref, name)), name
+            for index, before in zip(space.pattern()._free, gather):
+                assert np.array_equal(index, before)
+
     def test_matrix_off_the_pattern_rejected(self):
         # the gather reads a data array by the pattern's slots: a copy with the
         # same structure is on it; a matrix with one entry moved, or one entry

@@ -346,6 +346,35 @@ class TestJitteredMeshes:
         assert max(r.curl_inf for r in rep.rows) <= 1e-12
 
 
+class TestDualityOrders:
+    """The potential and the velocity gain one order in L2 over the table's
+    H1 columns, by duality (Aubin-Nitsche; Crouzeix & Raviart 1973 for CR).
+    An O(h) consistency error in a load or a quadrature rule can leave the
+    H1 orders intact and still cost this one.
+
+    Measured pairwise L2 orders on the uniform mesh, default constants: l0
+    N=16..64 phi 1.99/2.00, u 1.92/1.97; l1 N=4..16 phi 2.98/3.00, u
+    3.15/3.05. On the finest pair the bounds keep a margin of 0.10 (phi)
+    and 0.07 (u) for l0, and 0.10 (phi) and 0.15 (u) for l1.
+    """
+
+    @pytest.mark.parametrize("pair, levels, bound", [
+        ("l0", [16, 32, 64], 1.9),
+        ("l1", [4, 8, 16], 2.9),
+    ])
+    def test_l2_orders_one_above_the_table(self, pair, levels, bound):
+        case = verify.CASES[pair]()
+        errors = []
+        for n in levels:
+            sol = driver.solve_fhd(driver.FhdConfig(n=n, pair=pair, case=case))
+            errors.append([np.divide(*verify.field_error(field, exact))
+                           for field, exact in ((sol.phi, case.phi), (sol.u, case.u))])
+        hs = [1.0 / n for n in levels]
+        for name, errs in zip(("phi", "u"), zip(*errors)):
+            pairwise, _ = verify.convergence_orders(errs, hs)
+            assert pairwise[-1] >= bound, name
+
+
 class TestBattery:
     def test_negative_control_broken_alpha_fails(self, monkeypatch):
         real = material.alpha
@@ -420,6 +449,31 @@ class TestBattery:
             block = sp.csr_matrix(block)
             assert block.nnz == x.nnz
             assert np.array_equal(block.indices, x.indices)
+
+    def test_infsup_pencil_keeps_the_divergence_zeros(self, monkeypatch):
+        # the solves' matrices lose their exact zeros in
+        # linalg.reduce_dirichlet, which the pencil does not pass: its -B
+        # blocks keep every stored entry of B_free, zeros included, since
+        # minimum degree orders the pencil better with them (without them
+        # its fill at l0 N=16 rises to ~139k)
+        factored = []
+        real = verify.linalg.factor
+
+        def factor(a):
+            lu = real(a)
+            factored.append((a, lu.nnz))
+            return lu
+
+        monkeypatch.setattr(verify.linalg, "factor", factor)
+        verify.infsup_constant("l0", 16)
+        mesh = mesh2d.build_uniform_square(16)
+        v = fespace.build_space(mesh, "CR", components=2)
+        sys = assembly.assemble_stokes_blocks(v, fespace.build_space(mesh, "P0"), 1.0)
+        [(pencil, _)] = [(a, nnz) for a, nnz in factored if a.shape[0] > sys.B.shape[0]]
+        b_rows = sp.csr_matrix(pencil[v.n_free:, :v.n_free])
+        assert b_rows.nnz == sys.B_free.nnz > np.count_nonzero(sys.B_free.data)
+        # the pencil and pressure-mass fills: 49,428 + 1,024
+        assert sum(nnz for _, nnz in factored) == 50_452
 
     @pytest.mark.parametrize("pair", ["l0", "l1"])
     def test_infsup_constant_factors_the_shifted_pencil_once(self, monkeypatch, pair):

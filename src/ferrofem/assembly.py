@@ -152,29 +152,17 @@ def assemble_weighted_stiffness(
     return space.pattern().matrix(_gram(space, tab, tab.grads, coeff))
 
 
-def _flux_load(space: FESpace, src, flux) -> np.ndarray:
-    """Load vector tau -> int flux(v) . grad(tau) for the vector data ``v`` of ``src``."""
-    rule = refelem.quadrature(2 + _POLY_DEG[space.family] + QUAD_BUMP)
-    local = _local_loads(space, src, rule, lambda tab, v: _pairing(tab, tab.grads, flux(v)))
-    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
+def elliptic_rhs_manufactured(space: FESpace, flux) -> np.ndarray:
+    """Load vector tau -> int flux . grad(tau) for a callable vector ``flux``.
 
-
-def elliptic_rhs_manufactured(space: FESpace, grad_phi, params: MaterialParams) -> np.ndarray:
-    """Load vector tau -> int alpha(|grad phi|) grad(phi).grad(tau).
-
-    This is the weak residual of the exact potential, which equals -(g, tau)
-    by integration by parts, so no symbolic divergence of the nonlinear flux
-    is ever needed.
+    For a manufactured potential the flux is alpha(|grad phi|) grad(phi),
+    whose weak residual equals -(g, tau) by integration by parts, so no
+    symbolic divergence of the nonlinear flux is ever needed; for an applied
+    field H_e it is H_e / mu0.
     """
-    def flux(g):
-        return material.alpha(np.sqrt((g * g).sum(axis=-1)), params)[:, :, None] * g
-
-    return _flux_load(space, grad_phi, flux)
-
-
-def elliptic_rhs_external(space: FESpace, h_ext, params: MaterialParams) -> np.ndarray:
-    """Load vector tau -> (1/mu0) int H_e . grad(tau) for an applied field."""
-    return _flux_load(space, h_ext, lambda h: h / params.mu0)
+    rule = refelem.quadrature(2 + _POLY_DEG[space.family] + QUAD_BUMP)
+    local = _local_loads(space, flux, rule, lambda tab, v: _pairing(tab, tab.grads, v))
+    return _scatter_vector(local, space.cell_dofs, space.n_dofs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ run    --config FILE [--out-csv PATH] [--out-json PATH]
 table  --config FILE            (CSV on stdout)
 check  [--seed K]               (property battery, one line per check)
 
-The config format is one ``key = value`` per line with ``#`` comments; an
-empty file reproduces the default convergence study (lowest-order pair on
-levels 4..128 with unit material parameters).
+The config format is one ``key = value`` per line, each key at most once,
+with ``#`` comments; an empty file reproduces the default convergence study
+(lowest-order pair on levels 4..128 with unit material parameters).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import os
 import resource
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 from . import driver, verify
 from .material import MaterialParams
@@ -48,18 +48,9 @@ class OutputError(OSError):
 class RunConfig:
     pair: str = "l0"
     levels: tuple = DEFAULT_LEVELS
-    mu0: float = 1.0
-    Ms: float = 1.0
-    gamma: float | None = None
-    chi0: float | None = None
-    rho: float = 1.0
-    eta: float = 1.0
+    params: MaterialParams = field(default_factory=MaterialParams)
     picard_iters: int = 2
     oseen_iters: int = 2
-
-    def material_params(self) -> MaterialParams:
-        return MaterialParams(mu0=self.mu0, Ms=self.Ms, gamma=self.gamma, chi0=self.chi0,
-                              rho=self.rho, eta=self.eta)
 
 
 def _parse_levels(text: str):
@@ -75,23 +66,18 @@ def _parse_levels(text: str):
     return levels
 
 
-_PARSERS = {
-    "pair": str,
-    "levels": _parse_levels,
-    "mu0": float,
-    "Ms": float,
-    "gamma": float,
-    "chi0": float,
-    "rho": float,
-    "eta": float,
-    "picard_iters": int,
-    "oseen_iters": int,
-}
+# the material keys, collected into the study's one MaterialParams
+_MATERIAL_KEYS = {f.name for f in fields(MaterialParams)}
+_PARSERS = {"pair": str, "levels": _parse_levels, "picard_iters": int, "oseen_iters": int,
+            **dict.fromkeys(_MATERIAL_KEYS, float)}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat ``key = value`` config format with line-numbered errors."""
-    cfg = RunConfig()
+    """Parse the flat ``key = value`` config format with line-numbered errors.
+
+    Each key may appear once.
+    """
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,14 +90,18 @@ def parse_config(text: str) -> RunConfig:
         parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         try:
-            setattr(cfg, key, parser(value))
+            values[key] = parser(value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: invalid value {value!r} for {key!r}: {exc}"
             ) from exc
+    material = {key: values.pop(key) for key in _MATERIAL_KEYS & values.keys()}
+    cfg = RunConfig(**values)
     if cfg.pair not in driver.PAIRS:
         names = " or ".join(map(repr, driver.PAIRS))
         raise ConfigError(f"pair must be {names}, got {cfg.pair!r}")
@@ -119,7 +109,7 @@ def parse_config(text: str) -> RunConfig:
         if not 1 <= getattr(cfg, name) <= MAX_SWEEPS:
             raise ConfigError(f"{name} must be between 1 and {MAX_SWEEPS}")
     try:
-        cfg.material_params()
+        cfg.params = MaterialParams(**material)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -161,7 +151,7 @@ def report_to_json(config: RunConfig, report: verify.StudyReport,
     doc = {
         "pair": config.pair,
         "levels": [row.n for row in report.rows],
-        "params": asdict(config.material_params()),
+        "params": asdict(config.params),
         "picard_iters": config.picard_iters,
         "oseen_iters": config.oseen_iters,
         "rows": [
@@ -191,7 +181,7 @@ def _run_study(config: RunConfig):
         report = verify.run_convergence_study(
             config.pair,
             list(config.levels),
-            params=config.material_params(),
+            params=config.params,
             picard_iters=config.picard_iters,
             oseen_iters=config.oseen_iters,
         )

@@ -1,5 +1,10 @@
 """Decoupled fixed-point solve producing all seven discrete fields.
 
+A solve reads all its data from one object, ``FhdConfig.case``: the
+constants, the potential equation's flux (alpha(|grad phi|) grad(phi) of a
+manufactured potential, or an applied field H_e / mu0), the velocity's
+boundary values and an optional body force.
+
 Stages, in the order they run:
 
 1. Oseen sweeps on the Navier-Stokes saddle system (convecting velocity
@@ -31,13 +36,12 @@ study rises by up to 7%.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import assembly, fespace, linalg, material, mesh2d
 from .fespace import FEField
-from .material import MaterialParams
 
 # element pairs: potential, edge, velocity, pressure
 PAIRS = {
@@ -48,31 +52,26 @@ PAIRS = {
 
 @dataclass
 class FhdConfig:
-    """One solve: mesh level, element pair, data source and iteration counts.
+    """One solve: mesh level, data, element pair and iteration counts.
 
-    Exactly one of ``case`` (manufactured solution object providing
-    ``grad_phi``, ``u`` and ``f`` evaluators) or ``h_ext`` (applied magnetic
-    field with H_e . n = 0 on the boundary) must be set; in external mode
-    ``body_force`` optionally drives the flow and the velocity boundary
-    values are zero.
+    ``case`` is the solve's one data object. The solve reads four of its
+    attributes: ``params`` (the material constants), ``flux`` (the
+    potential equation's load flux on (n, 2) points), ``u`` (the velocity,
+    read for its boundary values) and ``f`` (the body force, or None for
+    none).
     """
 
     n: int
+    case: object
     pair: str = "l0"
-    params: MaterialParams = dc_field(default_factory=MaterialParams)
     picard_iters: int = 2
     oseen_iters: int = 2
-    case: object | None = None
-    h_ext: object | None = None
-    body_force: object | None = None
 
     def __post_init__(self):
         if self.pair not in PAIRS:
             raise ValueError(f"unknown element pair {self.pair!r}")
         if self.picard_iters < 1 or self.oseen_iters < 1:
             raise ValueError("iteration counts must be >= 1")
-        if (self.case is None) == (self.h_ext is None):
-            raise ValueError("set exactly one of case or h_ext")
 
 
 @dataclass
@@ -94,6 +93,7 @@ class Problem:
 
     def __init__(self, cfg: FhdConfig):
         self.cfg = cfg
+        case = cfg.case
         s_fam, u_fam, v_fam, w_fam = PAIRS[cfg.pair]
         self.mesh = mesh2d.build_uniform_square(cfg.n)
         self.S = fespace.build_space(self.mesh, s_fam)
@@ -106,26 +106,19 @@ class Problem:
         # the potential chain's one factor per level: the Poisson seed's
         self.phi_factor = linalg.ReusedFactor()
         # the Stokes system, with this level's velocity load and boundary values
-        self.saddle = assembly.assemble_stokes_blocks(self.V, self.W, cfg.params.eta)
-        if cfg.case is not None:
-            self.rhs_phi = assembly.elliptic_rhs_manufactured(
-                self.S, cfg.case.grad_phi, cfg.params
-            )
-            f = cfg.case.f
-            uex = fespace.interpolate_nodal(self.V, cfg.case.u)
-            self.saddle.g = np.where(self.V.free_mask, 0.0, uex.coeffs)
-        else:
-            self.rhs_phi = assembly.elliptic_rhs_external(self.S, cfg.h_ext, cfg.params)
-            f = cfg.body_force
-        if f is not None:
-            self.saddle.rhs_u = assembly.assemble_ns_rhs(self.V, f)
+        self.saddle = assembly.assemble_stokes_blocks(self.V, self.W, case.params.eta)
+        self.rhs_phi = assembly.elliptic_rhs_manufactured(self.S, case.flux)
+        uex = fespace.interpolate_nodal(self.V, case.u)
+        self.saddle.g = np.where(self.V.free_mask, 0.0, uex.coeffs)
+        if case.f is not None:
+            self.saddle.rhs_u = assembly.assemble_ns_rhs(self.V, case.f)
 
     def grad_norm_phi(self, coeffs) -> float:
         return float(np.sqrt(max(coeffs @ (self.K1 @ coeffs), 0.0)))
 
     def grad_norm_u(self, coeffs) -> float:
         visc_energy = coeffs @ fespace.componentwise(self.saddle.A, coeffs)
-        return float(np.sqrt(max(visc_energy / self.cfg.params.eta, 0.0)))
+        return float(np.sqrt(max(visc_energy / self.cfg.case.params.eta, 0.0)))
 
 
 def _fixed_point(step, start, iters: int, update):
@@ -163,7 +156,7 @@ def picard_elliptic(prob: Problem, phi0: FEField | None = None):
         if phi is None:
             a_mat, x0 = prob.K1, None
         else:
-            a_mat = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.params)
+            a_mat = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.case.params)
             x0 = phi.coeffs[free]
         a_ff, b_f, expand = linalg.reduce_dirichlet(a_mat, prob.rhs_phi, prob.S)
         x, report = linalg.solve_spd(a_ff, b_f, prob.phi_factor, x0)
@@ -180,7 +173,7 @@ def oseen_ns(prob: Problem, start: tuple[FEField, FEField] | None = None):
     seed when it is None. Each sweep's Schur GMRES starts from the previous
     pressure. ``info`` is as in :func:`picard_elliptic`, with velocity updates.
     """
-    rho = prob.cfg.params.rho
+    rho = prob.cfg.case.params.rho
 
     def step(up):
         if up is None:
@@ -211,7 +204,7 @@ def recover_fields(
     large enough to swamp p_tilde in the sum. Every mass matrix is solved by
     Jacobi-preconditioned CG; the stage factors nothing.
     """
-    params = prob.cfg.params
+    params = prob.cfg.case.params
     reports = {}
 
     H = FEField(prob.U, prob.G @ phi.coeffs)

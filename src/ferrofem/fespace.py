@@ -122,7 +122,10 @@ class _Pattern:
     Duplicates are summed by one ``bincount`` in element order, so the sum is
     deterministic. The index arrays are int32 and read-only, since every
     matrix on the pattern shares them; ``row_free``/``col_free`` are the dofs
-    :meth:`restrict` keeps.
+    :meth:`restrict` keeps. A matrix on the pattern, or one :meth:`restrict`
+    returns, cannot change its structure in place: ``eliminate_zeros()``
+    raises ``ValueError`` and leaves every matrix as it was. Take a
+    ``copy()`` first and change that.
     """
 
     def __init__(self, row_dofs, col_dofs, row_free, col_free):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,8 +40,8 @@ class ManufacturedCase:
 
     All evaluators map an (n, 2) point array to values: scalars (n,),
     vectors (n, 2), matrices (n, 2, 2). The magnetic field is ``grad_phi``;
-    the derived fields (magnetization, pressure potential, flow forcing) are
-    consistent with the governing equations by construction.
+    the derived fields (potential flux, magnetization, pressure potential,
+    flow forcing) are consistent with the governing equations by construction.
     """
 
     name: str
@@ -60,6 +61,11 @@ class ManufacturedCase:
     def psi(self, pts):
         h = self.grad_phi(pts)
         return material.beta(np.sqrt((h * h).sum(axis=-1)), self.params)
+
+    def flux(self, pts):
+        """Flux of the potential equation, alpha(|grad phi|) grad(phi)."""
+        g = self.grad_phi(pts)
+        return material.alpha(np.sqrt((g * g).sum(axis=-1)), self.params)[:, None] * g
 
     def p_tilde(self, pts):
         return self.p(pts) - self.params.mu0 * self.psi(pts)
@@ -386,14 +392,8 @@ class StudyError(RuntimeError):
 
 def _solve_level(pair, n, params, picard_iters, oseen_iters) -> StudyRow:
     case = CASES[pair](params)
-    cfg = FhdConfig(
-        n=n,
-        pair=pair,
-        params=case.params,
-        picard_iters=picard_iters,
-        oseen_iters=oseen_iters,
-        case=case,
-    )
+    cfg = FhdConfig(n=n, case=case, pair=pair, picard_iters=picard_iters,
+                    oseen_iters=oseen_iters)
     t0 = time.perf_counter()
     sol = driver.solve_fhd(cfg)
     t1 = time.perf_counter()
@@ -738,10 +738,12 @@ def check_infsup() -> list:
 
 
 def check_stability_bounds() -> list:
-    """Discrete energy bounds of the two solve chains (external-field mode).
+    """Discrete energy bounds of the two solve chains under an applied field.
 
-    Each chain starts from its seed and then advances one sweep per call on
-    one problem, so the seed factor and the pressure warm start carry over.
+    The data is an applied field H_e (the flux H_e / mu0) and a body force,
+    with zero boundary velocity. Each chain starts from its seed and then
+    advances one sweep per call on one problem, so the seed factor and the
+    pressure warm start carry over.
     """
     res = []
     params = MaterialParams(mu0=2.0, Ms=1.5, gamma=1.0, rho=1.0, eta=0.7)
@@ -756,10 +758,9 @@ def check_stability_bounds() -> list:
     def body_force(pts):
         return np.stack([np.sin(np.pi * pts[:, 1]), np.sin(np.pi * pts[:, 0])], axis=1)
 
-    prob = driver.Problem(FhdConfig(
-        n=PROPERTY_N, pair="l0", params=params, h_ext=h_ext, body_force=body_force,
-        picard_iters=1, oseen_iters=1,
-    ))
+    data = SimpleNamespace(params=params, flux=lambda pts: h_ext(pts) / params.mu0,
+                           u=lambda pts: np.zeros((len(pts), 2)), f=body_force)
+    prob = driver.Problem(FhdConfig(n=PROPERTY_N, case=data, picard_iters=1, oseen_iters=1))
     he_norm = field_error(prob.U.zero_field(), h_ext)[1]  # L2 norm of H_e
 
     phi = None  # the first call solves the seed, then one sweep

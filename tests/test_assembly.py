@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -21,6 +22,11 @@ def phi_bubble(p):
 def grad_phi_bubble(p):
     x, y = p[:, 0], p[:, 1]
     return np.stack([(1 - 2 * x) * y * (1 - y), (1 - 2 * y) * x * (1 - x)], axis=1)
+
+
+def bubble_flux(p):
+    """Flux alpha(|grad phi|) grad(phi) of the bubble potential at unit parameters."""
+    return dataclasses.replace(verify.case_2d_l0(PARAMS), grad_phi=grad_phi_bubble).flux(p)
 
 
 def physical_gradients(space, rule):
@@ -98,14 +104,14 @@ class TestWeightedStiffness:
 class TestEllipticRhs:
     def test_zero_potential_gives_zero_vector(self):
         s = fespace.build_space(mesh2d.build_uniform_square(3), "P1")
-        rhs = assembly.elliptic_rhs_manufactured(
-            s, lambda p: np.zeros((len(p), 2)), PARAMS
-        )
+        zero = dataclasses.replace(verify.case_2d_l0(PARAMS),
+                                   grad_phi=lambda p: np.zeros((len(p), 2)))
+        rhs = assembly.elliptic_rhs_manufactured(s, zero.flux)
         assert np.abs(rhs).max() == 0.0
 
     def test_external_zero_field(self):
         s = fespace.build_space(mesh2d.build_uniform_square(3), "P1")
-        rhs = assembly.elliptic_rhs_external(s, lambda p: np.zeros((len(p), 2)), PARAMS)
+        rhs = assembly.elliptic_rhs_manufactured(s, lambda p: np.zeros((len(p), 2)) / PARAMS.mu0)
         assert np.abs(rhs).max() == 0.0
 
     def test_matches_symbolic_integration_oracle(self):
@@ -368,8 +374,8 @@ class TestElementBlocks:
         prm = case.params
         return {
             "ns": assembly.assemble_ns_rhs(prob.V, case.f),
-            "manufactured": assembly.elliptic_rhs_manufactured(prob.S, case.grad_phi, prm),
-            "external": assembly.elliptic_rhs_external(prob.S, case.u, prm),
+            "manufactured": assembly.elliptic_rhs_manufactured(prob.S, case.flux),
+            "external": assembly.elliptic_rhs_manufactured(prob.S, lambda p: case.u(p) / prm.mu0),
             "scalar-field": assembly.assemble_scalar_rhs(
                 prob.W, (H, lambda v: (v * v).sum(axis=-1))),
             "scalar-callable": assembly.assemble_scalar_rhs(prob.W, case.p),
@@ -589,9 +595,9 @@ class TestReferenceKernels:
     def test_elliptic_rhs(self, mesh, rules, fam, kind):
         s = fespace.build_space(mesh, fam)
         if kind == "manufactured":
-            rhs = assembly.elliptic_rhs_manufactured(s, grad_phi_bubble, PARAMS)
+            rhs = assembly.elliptic_rhs_manufactured(s, bubble_flux)
         else:
-            rhs = assembly.elliptic_rhs_external(s, grad_phi_bubble, PARAMS)
+            rhs = assembly.elliptic_rhs_manufactured(s, lambda p: grad_phi_bubble(p) / PARAMS.mu0)
         rule = rules[fam]
         wq = rule.weights[None, :] * mesh.det[:, None]
         xq = fespace.quad_points(mesh, rule).reshape(-1, 2)
@@ -679,6 +685,30 @@ class TestPattern:
         c = _scatter(c_loc, V.cell_dofs, V.cell_dofs, n.shape)
         close.append(_close(n, 0.5 * 1.3 * (c - c.T)))
         assert close == [True] * 8
+
+    def test_matrices_share_the_read_only_index_arrays(self):
+        # the uniform mesh's P1 stiffness stores exact zeros: dropping them in
+        # place would rewrite the arrays every matrix on the pattern reads
+        s = fespace.build_space(mesh2d.build_uniform_square(4), "P1")
+        pattern = s.pattern()
+        phi = FEField(s, np.random.default_rng(3).standard_normal(s.n_dofs))
+        a = assembly.assemble_weighted_stiffness(s)
+        b = assembly.assemble_weighted_stiffness(s, phi, PARAMS)
+        for m in (a, b):
+            assert np.shares_memory(m.indices, pattern.indices)
+            assert np.shares_memory(m.indptr, pattern.indptr)
+        n_zeros = np.count_nonzero(a.data == 0.0)
+        assert n_zeros > 0
+        indices, indptr = b.indices.copy(), b.indptr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            a.eliminate_zeros()
+        assert np.array_equal(b.indices, indices) and np.array_equal(b.indptr, indptr)
+        assert a.nnz == b.nnz == pattern.nnz
+        c = a.copy()
+        c.eliminate_zeros()
+        assert c.nnz == pattern.nnz - n_zeros
+        assert (c != a).nnz == 0
+        assert np.array_equal(pattern.indices, indices)
 
     @pytest.mark.parametrize("pair", ["l0", "l1"])
     def test_convection_exactly_antisymmetric(self, pattern_mesh, pair):

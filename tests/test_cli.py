@@ -19,7 +19,7 @@ class TestParseConfig:
         assert cfg.levels == (4, 8, 16, 32, 64, 128)
         assert cfg.picard_iters == 2
         assert cfg.oseen_iters == 2
-        prm = cfg.material_params()
+        prm = cfg.params
         assert (prm.mu0, prm.Ms, prm.gamma, prm.rho, prm.eta) == (1, 1, 1, 1, 1)
 
     def test_overrides_applied_others_default(self):
@@ -54,7 +54,7 @@ class TestParseConfig:
 
     def test_material_params_from_chi0(self):
         cfg = parse_config("chi0 = 1.0\nMs = 2.0\n")
-        assert cfg.material_params().gamma == pytest.approx(1.5)
+        assert cfg.params.gamma == pytest.approx(1.5)
 
     def test_inconsistent_gamma_chi0_rejected(self):
         with pytest.raises(ConfigError, match="inconsistent"):
@@ -252,6 +252,28 @@ class TestMain:
         assert cli.main(["table", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a material constant, and a study key with another key between
+            ("mu0 = 2\nmu0 = 3\n", "config error: line 2: repeated key 'mu0'"),
+            ("levels = 4,8\npair = l0\nlevels = 4\n", "config error: line 3: repeated key 'levels'"),
+        ],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, capsys, monkeypatch, text, message):
+        # the last value used to win silently
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(verify, "run_convergence_study", study)
+        path = tmp_path / "twice.cfg"
+        path.write_text(text)
+        out_csv, out_json = tmp_path / "t.csv", tmp_path / "t.json"
+        assert cli.main(["run", "--config", str(path), "--out-csv", str(out_csv),
+                         "--out-json", str(out_json)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists() and not out_json.exists()
+
     @pytest.mark.parametrize("key", ["picard_iters", "oseen_iters"])
     def test_sweep_counts_bounded(self, tmp_path, capsys, monkeypatch, key):
         # a count above the bound is refused before any solve (1e9 sweeps
@@ -363,8 +385,10 @@ class TestFuzz:
     @settings(max_examples=60, deadline=None, database=None)
     def test_table_exits_with_a_code_never_a_traceback(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
-        # a bounded levels line first, so no example runs the default study
-        path.write_text("levels = 2,3\n" + text + "\n")
+        # a bounded levels line first unless the example sets levels (a key
+        # may appear once), so no example runs the default study
+        keys = [line.split("#", 1)[0].partition("=")[0].strip() for line in text.splitlines()]
+        path.write_text(("" if "levels" in keys else "levels = 2,3\n") + text + "\n")
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             rc = cli.main(["table", "--config", str(path)])

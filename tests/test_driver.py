@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,22 @@ def make_cfg(n=8, **kw):
     return FhdConfig(n=n, pair=kw.pop("pair", "l0"), **kw)
 
 
-def zero_external(pts):
+def zero_vector(pts):
     return np.zeros((len(pts), 2))
+
+
+def applied_field(pts):
+    """An applied field H_e with H_e . n = 0 on the unit square's boundary."""
+    x, y = pts[:, 0], pts[:, 1]
+    return np.stack(
+        [x * (1 - x) * np.cos(np.pi * y), y * (1 - y) * np.cos(np.pi * x)], axis=1
+    )
+
+
+def applied(h_e=zero_vector, f=None, params=MaterialParams()):
+    """Solve data of an applied field ``h_e`` and body force ``f``, zero on the boundary."""
+    return SimpleNamespace(params=params, flux=lambda pts: h_e(pts) / params.mu0,
+                           u=zero_vector, f=f)
 
 
 def poisson_seed(prob):
@@ -33,10 +49,11 @@ def stokes_seed(prob):
 
 class TestConfig:
     def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
+        # the case is the one data object: required, and nothing beside it
+        with pytest.raises(TypeError):
             FhdConfig(n=4)
-        with pytest.raises(ValueError):
-            FhdConfig(n=4, case=CASE, h_ext=zero_external)
+        with pytest.raises(TypeError):
+            FhdConfig(n=4, case=CASE, h_ext=zero_vector)
 
     def test_rejects_unknown_pair(self):
         with pytest.raises(ValueError):
@@ -49,25 +66,18 @@ class TestConfig:
 
 class TestInitialGuesses:
     def test_zero_data_zero_potential(self):
-        cfg = FhdConfig(n=4, h_ext=zero_external)
+        cfg = FhdConfig(n=4, case=applied())
         phi, rep = poisson_seed(driver.Problem(cfg))
         assert np.abs(phi.coeffs).max() == 0.0
 
     def test_poisson_guess_independent_of_magnetization_constants(self):
         # with an applied field the seed operator and data never touch the
         # magnetization law, so Ms and gamma cannot influence the seed
-        def h_ext(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.stack(
-                [x * (1 - x) * np.cos(np.pi * y), y * (1 - y) * np.cos(np.pi * x)],
-                axis=1,
-            )
-
         phi_a, _ = poisson_seed(driver.Problem(
-            FhdConfig(n=6, params=MaterialParams(Ms=1.0, gamma=1.0), h_ext=h_ext)
+            FhdConfig(n=6, case=applied(applied_field, params=MaterialParams(Ms=1.0, gamma=1.0)))
         ))
         phi_b, _ = poisson_seed(driver.Problem(
-            FhdConfig(n=6, params=MaterialParams(Ms=3.0, gamma=2.0), h_ext=h_ext)
+            FhdConfig(n=6, case=applied(applied_field, params=MaterialParams(Ms=3.0, gamma=2.0)))
         ))
         assert np.array_equal(phi_a.coeffs, phi_b.coeffs)
         assert np.abs(phi_a.coeffs).max() > 0
@@ -86,7 +96,7 @@ class TestInitialGuesses:
         assert abs(gaps[1] - gaps[0]) < 0.2 * gaps[0]  # level-independent limit
 
     def test_stokes_guess_zero_force(self):
-        cfg = FhdConfig(n=4, h_ext=zero_external)
+        cfg = FhdConfig(n=4, case=applied())
         u, p, rep = stokes_seed(driver.Problem(cfg))
         assert np.abs(u.coeffs).max() == 0.0
         assert np.abs(p.coeffs).max() == 0.0
@@ -101,7 +111,7 @@ class TestInitialGuesses:
 
 class TestPicard:
     def test_zero_rhs_fixed_point(self):
-        cfg = FhdConfig(n=4, h_ext=zero_external, picard_iters=3)
+        cfg = FhdConfig(n=4, case=applied(), picard_iters=3)
         phi, info = driver.picard_elliptic(driver.Problem(cfg))
         assert np.abs(phi.coeffs).max() == 0.0
 
@@ -110,7 +120,7 @@ class TestPicard:
         cfg = make_cfg(n=8, picard_iters=30)
         prob = driver.Problem(cfg)
         phi, info = driver.picard_elliptic(prob)
-        a = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.params)
+        a = assembly.assemble_weighted_stiffness(prob.S, phi, cfg.case.params)
         res = (prob.rhs_phi - a @ phi.coeffs)[prob.S.free_mask]
         assert np.linalg.norm(res) <= 1e-9
         assert info["updates"][-1] < 1e-12
@@ -125,17 +135,10 @@ class TestPicard:
 
     def test_external_mode_stability_bound(self):
         prm = MaterialParams(mu0=3.0)
-
-        def h_ext(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.stack(
-                [x * (1 - x) * np.cos(np.pi * y), y * (1 - y) * np.cos(np.pi * x)],
-                axis=1,
-            )
-
-        prob = driver.Problem(FhdConfig(n=8, params=prm, h_ext=h_ext, picard_iters=4))
+        prob = driver.Problem(FhdConfig(n=8, case=applied(applied_field, params=prm),
+                                        picard_iters=4))
         phi, _ = driver.picard_elliptic(prob)
-        he_norm = verify.field_error(prob.U.zero_field(), h_ext)[1]
+        he_norm = verify.field_error(prob.U.zero_field(), applied_field)[1]
         assert prob.grad_norm_phi(phi.coeffs) <= he_norm / prm.mu0 * (1 + 1e-10)
 
 
@@ -183,10 +186,8 @@ class TestFactorReuse:
         assert fills == {"potential": [3516] * 3, "flow": [7504, 14140, 14140]}
 
     def test_cg_sweeps_match_direct_sweeps(self, monkeypatch):
-        params = MaterialParams(gamma=4.0, eta=0.5)
-        cfg = FhdConfig(
-            n=16, pair="l1", params=params, case=verify.case_2d_l1(), picard_iters=8
-        )
+        case = verify.case_2d_l1(MaterialParams(gamma=4.0, eta=0.5))
+        cfg = FhdConfig(n=16, case=case, pair="l1", picard_iters=8)
         phi_cg, info_cg = driver.picard_elliptic(driver.Problem(cfg))
         real = driver.linalg.solve_spd
         monkeypatch.setattr(
@@ -201,7 +202,8 @@ class TestFactorReuse:
         assert np.abs(phi_cg.coeffs - phi_lu.coeffs).max() <= 1e-9 * scale
 
     def test_strong_nonlinearity_stays_under_cap(self, monkeypatch):
-        cfg = make_cfg(n=16, params=MaterialParams(gamma=100.0, Ms=10.0), picard_iters=8)
+        case = verify.case_2d_l0(MaterialParams(gamma=100.0, Ms=10.0))
+        cfg = make_cfg(n=16, case=case, picard_iters=8)
         calls = _count_splu(monkeypatch)
         _, info = driver.picard_elliptic(driver.Problem(cfg))
         counts = [r.iterations for r in info["reports"][1:]]
@@ -270,7 +272,7 @@ class TestFixedPointLoop:
 
 class TestOseen:
     def test_zero_force_zero_solution(self):
-        cfg = FhdConfig(n=4, h_ext=zero_external, oseen_iters=2)
+        cfg = FhdConfig(n=4, case=applied(), oseen_iters=2)
         u, p, info = driver.oseen_ns(driver.Problem(cfg))
         assert np.abs(u.coeffs).max() == 0.0
 
@@ -279,7 +281,7 @@ class TestOseen:
             return np.stack([np.sin(np.pi * pts[:, 1]), np.sin(np.pi * pts[:, 0])], axis=1)
 
         prm = MaterialParams(eta=0.5)
-        cfg = FhdConfig(n=8, params=prm, h_ext=zero_external, body_force=f, oseen_iters=3)
+        cfg = FhdConfig(n=8, case=applied(f=f, params=prm), oseen_iters=3)
         prob = driver.Problem(cfg)
         u, p, info = driver.oseen_ns(prob)
         energy = prm.eta * prob.grad_norm_u(u.coeffs) ** 2
@@ -297,7 +299,7 @@ class TestOseen:
 
 class TestRecovery:
     def test_zero_potential_recovers_zeros(self):
-        cfg = FhdConfig(n=4, h_ext=zero_external)
+        cfg = FhdConfig(n=4, case=applied())
         sol = driver.solve_fhd(cfg)
         for field in (sol.phi, sol.H, sol.M, sol.u, sol.psi):
             assert np.abs(field.coeffs).max() < 1e-14
@@ -333,18 +335,18 @@ class TestRecovery:
         sol = driver.solve_fhd(cfg)
         rule = refelem.quadrature(4)
         hv, _ = fespace.eval_field(sol.H, fespace.tabulate(sol.H.space, rule))
-        m = material.magnetization(hv, cfg.params)
-        assert np.sqrt((m * m).sum(axis=-1)).max() < cfg.params.Ms
+        m = material.magnetization(hv, cfg.case.params)
+        assert np.sqrt((m * m).sum(axis=-1)).max() < cfg.case.params.Ms
 
     def test_pressure_composition_and_mean(self):
         cfg = make_cfg(n=8)
         sol = driver.solve_fhd(cfg)
         setup_mean = assembly.assemble_stokes_blocks(
-            sol.u.space, sol.p.space, cfg.params.eta
+            sol.u.space, sol.p.space, cfg.case.params.eta
         ).mean
         assert abs(setup_mean @ sol.p.coeffs) < 1e-12
         # p = p_tilde + mu0 psi up to the constant shift
-        shift = sol.p.coeffs - (sol.p_tilde.coeffs + cfg.params.mu0 * sol.psi.coeffs)
+        shift = sol.p.coeffs - (sol.p_tilde.coeffs + cfg.case.params.mu0 * sol.psi.coeffs)
         assert np.abs(shift - shift[0]).max() < 1e-12
 
     def test_small_gamma_pressure_keeps_its_digits(self):
@@ -360,15 +362,7 @@ class TestRecovery:
 
     def test_external_field_full_solve(self):
         prm = MaterialParams(mu0=2.0, Ms=2.0, gamma=0.5)
-
-        def h_ext(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.stack(
-                [x * (1 - x) * np.cos(np.pi * y), y * (1 - y) * np.cos(np.pi * x)],
-                axis=1,
-            )
-
-        sol = driver.solve_fhd(FhdConfig(n=8, params=prm, h_ext=h_ext))
+        sol = driver.solve_fhd(FhdConfig(n=8, case=applied(applied_field, params=prm)))
         assert np.abs(sol.phi.coeffs).max() > 0
         assert verify.curl_inf(sol.H) <= 1e-12
         assert np.abs(sol.u.coeffs).max() == 0.0  # no body force
@@ -421,6 +415,6 @@ class TestSolveFhd:
         prob = driver.Problem(cfg)
         phi_prev, _ = driver.picard_elliptic(prob)
         phi, _ = driver.picard_elliptic(prob, phi_prev)
-        a = assembly.assemble_weighted_stiffness(prob.S, phi_prev, cfg.params)
+        a = assembly.assemble_weighted_stiffness(prob.S, phi_prev, cfg.case.params)
         res = (prob.rhs_phi - a @ phi.coeffs)[prob.S.free_mask]
         assert np.linalg.norm(res) <= 1e-9 * max(np.linalg.norm(prob.rhs_phi), 1.0)

@@ -1,6 +1,7 @@
 """Package layout rules that no single module's tests can see."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -75,6 +76,26 @@ def _references(target: str) -> list:
             if name == target:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} uses {target}")
     return found
+
+
+def test_one_data_path_into_the_solve():
+    # the case is the one data object a solve reads (its constants, flux,
+    # boundary velocity and force); the config and the CLI keep no second
+    # copy of the constants and no second data mode
+    from ferrofem import cli, driver
+    from ferrofem.material import MaterialParams
+
+    found = []
+    for stem in ("driver", "assembly"):
+        text = (PACKAGE / f"{stem}.py").read_text()
+        found += [f"{stem}.py uses {name}" for name in ("h_ext", "body_force") if name in text]
+    assert found == []
+    assert [f.name for f in dataclasses.fields(driver.FhdConfig)] == [
+        "n", "case", "pair", "picard_iters", "oseen_iters"]
+    material = {f.name for f in dataclasses.fields(MaterialParams)}
+    run_fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert [name for name in run_fields if name in material] == []
+    assert not hasattr(cli.RunConfig, "material_params")
 
 
 def test_no_module_builds_block_diagonal_matrices():
@@ -200,7 +221,7 @@ PUBLIC_FUNCTIONS = {
     "assembly": ["assemble_convection", "assemble_edge_mass", "assemble_edge_rhs",
                  "assemble_ns_rhs", "assemble_scalar_mass", "assemble_scalar_rhs",
                  "assemble_stokes_blocks", "assemble_weighted_stiffness",
-                 "elliptic_rhs_external", "elliptic_rhs_manufactured"],
+                 "elliptic_rhs_manufactured"],
     "cli": ["cmd_check", "cmd_run", "cmd_table", "format_csv", "main", "parse_config",
             "report_to_json"],
     "driver": ["oseen_ns", "picard_elliptic", "recover_fields", "solve_fhd"],

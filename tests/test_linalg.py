@@ -222,7 +222,7 @@ class TestSolveSaddle:
 
         monkeypatch.setattr(linalg, "solve_saddle", recording)
         prm = MaterialParams(gamma=4.0, eta=0.5, rho=15.0)
-        cfg = FhdConfig(n=8, pair="l1", params=prm, case=verify.case_2d_l1(prm), oseen_iters=6)
+        cfg = FhdConfig(n=8, case=verify.case_2d_l1(prm), pair="l1", oseen_iters=6)
         driver.oseen_ns(driver.Problem(cfg))
         assert len(solved) == 1 + 7
         for mean, p in solved:
@@ -316,7 +316,7 @@ class TestSchurSolve:
         # true one was still above tolerance
         prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
         case = verify.case_2d_l1(prm)
-        cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=1)
+        cfg = FhdConfig(n=16, case=case, pair="l1", oseen_iters=1)
         _, _, info = driver.oseen_ns(driver.Problem(cfg))
         assert len(info["reports"]) == 2
 
@@ -327,7 +327,7 @@ class TestSchurSolve:
         # count, and the same pressure to round-off
         prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
         case = verify.case_2d_l1(prm)
-        prob = driver.Problem(FhdConfig(n=16, pair="l1", params=prm, case=case))
+        prob = driver.Problem(FhdConfig(n=16, case=case, pair="l1"))
         sys, p0 = prob.saddle, None
         if sweep:
             u, p0, _ = linalg.solve_saddle(sys)  # the Stokes seed
@@ -390,7 +390,7 @@ class TestSchurSolve:
         # six sweeps of the l1 nonlinear study; cold starts need ~300
         prm = MaterialParams(gamma=4.0, eta=0.5, rho=6.343642441124012)
         case = verify.case_2d_l1(prm)
-        cfg = FhdConfig(n=16, pair="l1", params=prm, case=case, oseen_iters=6)
+        cfg = FhdConfig(n=16, case=case, pair="l1", oseen_iters=6)
         _, _, info = driver.oseen_ns(driver.Problem(cfg))
         sweeps = info["reports"][1:]
         assert len(sweeps) == 6
